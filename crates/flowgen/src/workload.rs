@@ -99,20 +99,22 @@ impl Default for PoissonConfig {
 
 /// Estimate, for a uniform all-to-all traffic matrix, how many host pairs
 /// route across each link; returns the per-link expected *relative* load
-/// (pair-paths per link). One representative path is resolved per pair
+/// (pair-paths per link). One representative path is walked per pair
 /// (per-flow ECMP averages out at the calibration fidelity we need).
+///
+/// The walk allocates nothing, and pairs are visited destination-major
+/// to match the routing table's layout. Every count is an exact integer,
+/// so the visiting order cannot change the result.
 fn pair_paths_per_link(topo: &Topology) -> Vec<f64> {
     let mut count = vec![0f64; topo.net.links.len()];
     let hosts = &topo.hosts;
-    for (i, &s) in hosts.iter().enumerate() {
-        for (j, &d) in hosts.iter().enumerate() {
+    for (j, &d) in hosts.iter().enumerate() {
+        for (i, &s) in hosts.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let path = topo
-                .routes
-                .resolve_path(s, d, FlowId((i * hosts.len() + j) as u64));
-            for &l in path.links.iter() {
+            let flow = FlowId((i * hosts.len() + j) as u64);
+            for l in topo.routes.walk(s, d, flow) {
                 count[l.0 as usize] += 1.0;
             }
         }
@@ -256,6 +258,66 @@ mod tests {
             "calibrated load {:.3} Gbps",
             load / 1e9
         );
+    }
+
+    /// Reference calibration: one materialized `resolve_path` per pair,
+    /// counted in `f64` in source-major order.
+    fn oracle_host_rate(topo: &Topology, cfg: &PoissonConfig) -> (Vec<f64>, f64) {
+        let mut count = vec![0f64; topo.net.links.len()];
+        let hosts = &topo.hosts;
+        for (i, &s) in hosts.iter().enumerate() {
+            for (j, &d) in hosts.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let path = topo
+                    .routes
+                    .resolve_path(s, d, FlowId((i * hosts.len() + j) as u64));
+                for &l in path.links.iter() {
+                    count[l.0 as usize] += 1.0;
+                }
+            }
+        }
+        let h = topo.hosts.len() as f64;
+        let mean_bytes = cfg.sizes.mean_pkts() * cfg.pkt_bytes as f64;
+        let mut worst = 0f64;
+        for &l in &topo.core_links {
+            let per_lambda = count[l.0 as usize] / (h - 1.0) * mean_bytes * 8.0;
+            let cap = topo.net.links[l.0 as usize].bw.as_bps() as f64;
+            worst = worst.max(per_lambda / cap);
+        }
+        (count, cfg.utilization / worst)
+    }
+
+    #[test]
+    fn walked_counts_and_rate_match_the_resolve_path_oracle() {
+        use ups_topo::{fattree, internet2, rocketfuel};
+        let topos = [
+            internet2::build(&internet2::I2Config::default(), TraceLevel::Off),
+            rocketfuel::build(&rocketfuel::RocketFuelConfig::default(), TraceLevel::Off),
+            fattree::build(&fattree::FatTreeConfig::for_k(4), TraceLevel::Off),
+        ];
+        for t in &topos {
+            for utilization in [0.3, 0.7] {
+                let cfg = PoissonConfig {
+                    utilization,
+                    ..Default::default()
+                };
+                let (want_counts, want_rate) = oracle_host_rate(t, &cfg);
+                assert_eq!(
+                    pair_paths_per_link(t),
+                    want_counts,
+                    "pair counts differ on {}",
+                    t.name
+                );
+                assert_eq!(
+                    calibrate_host_rate(t, &cfg).to_bits(),
+                    want_rate.to_bits(),
+                    "rate differs on {}",
+                    t.name
+                );
+            }
+        }
     }
 
     #[test]

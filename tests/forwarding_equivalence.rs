@@ -2,85 +2,25 @@
 //!
 //! Three contracts from the hot-path redesign, checked end-to-end:
 //!
-//! * the frozen [`RoutingTable`] resolves byte-identical paths to the
-//!   legacy per-hop [`NextHop::pick`] walk, on random connected
-//!   topologies and random flow ids;
+//! * the `RoutingTable` agrees with an independent Floyd–Warshall
+//!   oracle (`support::Oracle`) on every pair's ECMP set, next hop and
+//!   resolved path, on random connected topologies and random flow ids;
 //! * batched same-instant drain produces bit-identical telemetry to the
 //!   single-event reference mode (`set_batched_drain(false)`);
 //! * a deadline-tagged flow ([`FlowDesc::deadline`]) is served ahead of
 //!   best-effort traffic under LSTF, because open-loop injection
 //!   initializes its header slack from the real remaining time budget.
 
+mod support;
+
 use proptest::prelude::*;
-use std::sync::Arc;
-use ups::net::{FlowId, LinkPolicy, Network, NodeId, RoutingTable, TraceLevel};
+use ups::net::{FlowId, LinkPolicy, NodeId, TraceLevel};
 use ups::sched::{lstf, SchedKind};
 use ups::sim::{Bandwidth, Dur, Time};
 use ups::topo::simple::dumbbell;
 use ups::transport::flow::FlowDesc;
 use ups::transport::header::{HeaderStamper, PrioPolicy, SlackPolicy};
 use ups::transport::udp::inject_udp_flows;
-
-/// SplitMix64 step — a tiny deterministic generator so one `u64` seed
-/// expands into a whole random topology.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Build a random connected topology: a random spanning tree over `n`
-/// routers plus `extra` random duplex links (parallel links allowed —
-/// they form equal-cost sets).
-fn random_connected(n: u32, extra: u32, seed: u64) -> Network {
-    let mut s = seed;
-    let mut net = Network::new(TraceLevel::Off);
-    let bws = [Bandwidth::gbps(1), Bandwidth::gbps(10), Bandwidth::gbps(40)];
-    let props = [
-        Dur::from_micros(1),
-        Dur::from_micros(5),
-        Dur::from_micros(10),
-    ];
-    for i in 0..n {
-        net.add_router(format!("r{i}"));
-    }
-    for i in 1..n {
-        let parent = NodeId((mix(&mut s) % i as u64) as u32);
-        let bw = bws[(mix(&mut s) % 3) as usize];
-        let prop = props[(mix(&mut s) % 3) as usize];
-        net.add_duplex(NodeId(i), parent, bw, prop);
-    }
-    for _ in 0..extra {
-        let a = NodeId((mix(&mut s) % n as u64) as u32);
-        let b = NodeId((mix(&mut s) % n as u64) as u32);
-        if a == b {
-            continue;
-        }
-        let bw = bws[(mix(&mut s) % 3) as usize];
-        let prop = props[(mix(&mut s) % 3) as usize];
-        net.add_duplex(a, b, bw, prop);
-    }
-    net
-}
-
-/// The pre-freeze reference: walk the per-node `NextHop` tables hop by
-/// hop, re-picking the ECMP member at every node as the old forwarding
-/// path did.
-fn legacy_walk(net: &Network, src: NodeId, dst: NodeId, flow: FlowId) -> Vec<u32> {
-    let mut links = Vec::new();
-    let mut at = src;
-    while at != dst {
-        let hop = net.nodes[at.0 as usize].routes[dst.0 as usize]
-            .pick(flow)
-            .unwrap_or_else(|| panic!("no route {at:?} -> {dst:?}"));
-        links.push(hop.0);
-        at = net.links[hop.0 as usize].to;
-        assert!(links.len() <= 64, "routing loop");
-    }
-    links
-}
 
 /// Run the dumbbell contention workload and return its telemetry as
 /// comparable records: per-packet identity, timing, and fate.
@@ -156,33 +96,20 @@ fn dumbbell_flows(specs: &[(u64, u64, u64)]) -> Vec<FlowDesc> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The frozen flat table and the legacy per-hop pick walk resolve the
-    /// same links, bandwidths, and delays for every (src, dst, flow).
+    /// The routing table matches the Floyd–Warshall oracle: the same
+    /// ECMP width and hash-picked next hop for every (node, dest) pair,
+    /// and the same links, bandwidths and delays on every resolved path.
     #[test]
-    fn routing_table_matches_legacy_walk(
+    fn routing_table_matches_floyd_warshall_oracle(
         n in 3u32..12,
         extra in 0u32..12,
         seed in 0u64..u64::MAX,
         flows in prop::collection::vec(0u64..u64::MAX, 1..16),
     ) {
-        let mut net = random_connected(n, extra, seed);
-        let table: Arc<RoutingTable> = net.compute_routes();
-        for &f in &flows {
-            let src = NodeId((f % n as u64) as u32);
-            let dst = NodeId((f / 7 % n as u64) as u32);
-            if src == dst {
-                continue;
-            }
-            let path = table.resolve_path(src, dst, FlowId(f));
-            let want = legacy_walk(&net, src, dst, FlowId(f));
-            let got: Vec<u32> = path.links.iter().map(|l| l.0).collect();
-            prop_assert_eq!(&got, &want, "paths diverge for flow {}", f);
-            for (k, &lid) in path.links.iter().enumerate() {
-                let l = &net.links[lid.0 as usize];
-                prop_assert_eq!(path.bw[k], l.bw);
-                prop_assert_eq!(path.prop[k], l.prop);
-            }
-        }
+        let mut net = support::random_connected(n, extra, seed);
+        let table = net.compute_routes();
+        let checked = support::Oracle::of(&net).check(&net, &table, &flows);
+        prop_assert_eq!(checked, Ok(()));
     }
 
     /// Batched same-instant drain is bit-identical to the single-event

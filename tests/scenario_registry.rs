@@ -131,3 +131,17 @@ fn rocketfuel_full_scenario_runs_at_quick_scale() {
     assert_eq!(report.results.len(), 1);
     assert!(report.results[0].total.mean > 0.0);
 }
+
+/// Full-scale RocketFuel serializes byte-identically for `--jobs 1` and
+/// `--jobs 4`. Every cell routes the same 1,743-node graph, so the
+/// parallel run has four workers sharing (and racing to fill) the route
+/// memo under `Network::compute_routes`.
+#[test]
+fn rocketfuel_full_scenario_is_identical_across_worker_counts() {
+    let s = scenario::find("rocketfuel-full").expect("registered");
+    let spec = s.spec().with_replicates(2);
+    let serial = s.run_spec(&spec, &tiny(), 1);
+    let parallel = s.run_spec(&spec, &tiny(), 4);
+    assert_eq!(serial.to_json(), parallel.to_json(), "table JSON differs");
+    assert_eq!(serial.to_csv(), parallel.to_csv(), "table CSV differs");
+}
