@@ -1,37 +1,27 @@
-//! `ups-bench` — the experiment harness.
+//! `ups-bench` — the experiment catalogue behind `sweep --grid NAME`,
+//! plus the criterion harnesses under `benches/`.
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), all built
-//! on the shared runners in this library so the integration tests can
-//! exercise the same code at reduced scale:
+//! [`grids::find`] maps every `--grid` name to its runner:
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `table1` | Table 1 — LSTF replayability across utilizations, link speeds, topologies, original schedulers |
-//! | `fig1_delay_ratio` | Figure 1 — CDF of queueing-delay ratio (LSTF : original) |
-//! | `fig2_fct` | Figure 2 — mean FCT by flow size, FIFO/SJF/SRPT/LSTF |
-//! | `fig3_tail` | Figure 3 — tail packet delays, FIFO vs LSTF(≡FIFO+) |
-//! | `fig4_fairness` | Figure 4 — Jain fairness convergence, FIFO/FQ/LSTF@rest |
-//! | `ablation_preempt` | §2.3(5) — preemptive LSTF on SJF/LIFO replays |
-//! | `ablation_priority` | §2.3(7) — Priority(o) vs LSTF vs EDF vs omniscient |
-//! | `ablation_lstf_key` | DESIGN.md ablation — last-bit vs pure-deadline keys |
-//! | `congestion_points` | §2.2 diagnostic — congestion points per packet |
-//! | `all_experiments` | everything above at the configured scale |
-//! | `sweep` | declarative parallel grid sweeps and registered scenarios with JSON/CSV artifacts (lives at the workspace root; engine + scenario registry in `ups-sweep`) |
+//! | Kind | Names | Reproduces |
+//! |---|---|---|
+//! | table | `table1` (default), `smoke`, `sched`, `topo` | Table 1 and slices of it |
+//! | figure | `fig1`–`fig4` | Figures 1–4 ([`runners`]) |
+//! | figure | `congestion-points` | §2.2 diagnostic — congestion points per packet |
+//! | ablation | `ablation-preempt` | §2.3(5) — preemptive LSTF on SJF/LIFO replays |
+//! | ablation | `ablation-candidates` | §2.3(7) — Priority(o) vs LSTF vs EDF vs omniscient |
+//! | ablation | `ablation-lstf-key` | last-bit vs pure-deadline LSTF keys |
+//! | scenario | see `sweep scenarios list` | the scenario registry in `ups-sweep` |
 //!
-//! Every binary accepts `--full` for paper-like scale (all runs are still
-//! laptop-sized) and `--seed N`; the default "quick" scale finishes each
-//! experiment in seconds. Sweep-backed experiments (`table1`, the four
-//! `fig*` binaries, `all_experiments`, `sweep`) also take `--jobs N`
-//! (worker threads — output is byte-identical for every value) and
-//! `--replicates N` (seed replicates per grid cell, reported as mean ±
-//! stddev on every scalar and every plotted point); the figure binaries
-//! additionally take `--out DIR` and write JSON/CSV artifacts there
-//! (default `target/sweep/` — schema in `ups-sweep`'s crate docs).
-//! `sweep diff old.json new.json` compares two artifacts for regression
-//! detection.
+//! Every grid honours the [`scale`] flags (`--full`, `--seed N`,
+//! `--jobs N`, `--replicates N`, …) and writes JSON/CSV artifacts under
+//! `--out DIR` (default `target/sweep/`; schema in `ups-sweep`'s crate
+//! docs) that are byte-identical for every `--jobs` value. An ablation
+//! writes one table artifact per replay mode, `<grid>_<mode>`.
 
 #![forbid(unsafe_code)]
 
+pub mod grids;
 pub mod runners;
 pub mod scale;
 

@@ -1,180 +1,66 @@
-//! Shared experiment runners: each returns structured data; the binaries
-//! format it. Integration tests call these at [`Scale::quick`].
+//! Figure runners: each builds a [`FigSpec`] and runs it on the sweep
+//! engine, one [`DistMetrics`] payload per (series, seed) cell. The
+//! `sweep` binary reaches them through [`crate::grids::find`], and the
+//! integration tests call them at a reduced [`Scale`].
 
 use crate::scale::Scale;
-use std::path::Path;
 use ups_core::objectives::Scheme;
-use ups_core::replay::{record_original, replay_schedule, ReplayMode, ReplayReport};
+use ups_core::replay::{record_original, ReplayMode};
 use ups_core::workload::{default_udp_workload, to_flow_descs};
-use ups_core::RecordedSchedule;
-use ups_metrics::{bucket_means, Cdf, FairnessPoint, SizeBuckets};
+use ups_metrics::{bucket_means, Cdf, SizeBuckets};
 use ups_net::TraceLevel;
-use ups_sched::{LstfKeyMode, SchedKind};
+use ups_sched::SchedKind;
 use ups_sim::{Bandwidth, Dur, Time};
 use ups_sweep::{
-    run_fig_with, run_sweep, CellMetrics, DistMetrics, FigAxis, FigReport, FigSpec, SweepSpec,
+    record_and_replay, run_fig_with, CellCoord, ChaosSpec, DistMetrics, FigAxis, FigReport,
+    FigSpec, TopoKind,
 };
 use ups_topo::internet2::{self, I2Config, I2Variant};
 
-// The topology selector lives in `ups-sweep` now (it is grid
-// vocabulary); re-exported here so existing call sites keep working.
-pub use ups_sweep::TopoKind;
+/// Every figure runs on the default Internet2 topology unless it says
+/// otherwise.
+const I2: TopoKind = TopoKind::I2(I2Variant::Default1g10g);
 
-/// One row of a replayability table.
-#[derive(Debug, Clone)]
-pub struct ReplayRow {
-    /// Topology label.
-    pub topo: String,
-    /// Target utilization of the most-loaded core link.
-    pub util: f64,
-    /// Original scheduling algorithm.
-    pub original: &'static str,
-    /// Replay mode label.
-    pub mode: String,
-    /// Packets replayed.
-    pub total: usize,
-    /// Fraction overdue.
-    pub frac_overdue: f64,
-    /// Fraction overdue by more than `T`.
-    pub frac_gt_t: f64,
-    /// The threshold `T` in microseconds.
-    pub t_us: f64,
-    /// Largest congestion-point count in the original schedule.
-    pub max_cp: usize,
-    /// Mean slack (µs) in the original schedule.
-    pub mean_slack_us: f64,
-}
-
-/// Record an original schedule and replay it; returns the row plus the
-/// raw report (for CDFs) and the recorded schedule (for diagnostics).
-/// The pipeline itself is `ups_sweep::record_and_replay`, so figure
-/// runners and the sweep engine cannot drift apart.
-pub fn run_replay(
-    kind: TopoKind,
-    scale: &Scale,
-    util: f64,
-    original: SchedKind,
-    mode: ReplayMode,
-) -> (ReplayRow, ReplayReport, RecordedSchedule) {
-    let coord = ups_sweep::CellCoord {
-        topo: kind,
-        sched: original,
-        util,
-        chaos: ups_sweep::ChaosSpec::OFF,
+/// One Figure-1 cell: record `orig`'s schedule at `seed`, replay it
+/// under LSTF, and sample the queueing-delay ratio CDF at `xs`; scalars
+/// are the packet count, the median and the 90th percentile.
+fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64, xs: &[f64]) -> DistMetrics {
+    let coord = CellCoord {
+        topo: I2,
+        sched: orig,
+        util: 0.7,
+        chaos: ChaosSpec::OFF,
     };
-    let (report, schedule) = ups_sweep::record_and_replay(&coord, &scale.sim(), scale.seed, mode);
-    let row = replay_row(
-        kind.label(),
-        util,
-        original.label(),
-        mode.label().to_string(),
-        CellMetrics::of(&report, &schedule),
-    );
-    (row, report, schedule)
-}
-
-/// Build a display row from the canonical metric reduction, so the
-/// figure/ablation runners report the exact same values (and unit
-/// conversions) as the sweep engine.
-fn replay_row(
-    topo: String,
-    util: f64,
-    original: &'static str,
-    mode: String,
-    m: CellMetrics,
-) -> ReplayRow {
-    ReplayRow {
-        topo,
-        util,
-        original,
-        mode,
-        total: m.total,
-        frac_overdue: m.frac_overdue,
-        frac_gt_t: m.frac_gt_t,
-        t_us: m.t_us,
-        max_cp: m.max_cp,
-        mean_slack_us: m.mean_slack_us,
+    let run = record_and_replay(&coord, &scale.sim(), seed, ReplayMode::lstf());
+    let cdf = Cdf::new(run.report.qdelay_ratios);
+    if cdf.is_empty() {
+        return DistMetrics {
+            scalars: vec![0.0; 3],
+            points: vec![0.0; xs.len()],
+        };
+    }
+    DistMetrics {
+        scalars: vec![cdf.len() as f64, cdf.quantile(0.5), cdf.quantile(0.9)],
+        points: cdf.at_many(xs),
     }
 }
 
-/// Table 1: all scenario rows. A thin client of the sweep engine — the
-/// grid runs on `scale.jobs` worker threads with `scale.replicates`
-/// seed replicates per cell, and each row carries the per-cell means.
-/// With one replicate the rows are exactly the legacy serial values.
-pub fn table1(scale: &Scale) -> Vec<ReplayRow> {
-    let spec = SweepSpec::table1()
-        .with_seed(scale.seed)
-        .with_replicates(scale.replicates);
-    let report = run_sweep(&spec, &scale.sim(), scale.jobs);
-    let mode = ReplayMode::lstf().label().to_string();
-    report
-        .results
-        .iter()
-        .map(|r| ReplayRow {
-            topo: r.coord.topo.label(),
-            util: r.coord.util,
-            original: r.coord.sched.label(),
-            mode: mode.clone(),
-            total: r.total.mean.round() as usize,
-            frac_overdue: r.frac_overdue.mean,
-            frac_gt_t: r.frac_gt_t.mean,
-            t_us: r.t_us.mean,
-            max_cp: r.max_cp.mean.round() as usize,
-            mean_slack_us: r.mean_slack_us.mean,
-        })
-        .collect()
-}
-
-/// The six original schedulers Figure 1 replays.
-pub fn fig1_originals() -> [SchedKind; 6] {
-    [
+/// Figure 1: the CDF of the queueing-delay ratio (LSTF replay :
+/// original) for six original schedulers on Internet2 at 70%, on a
+/// fixed ratio axis with mean ± stddev per point over seed replicates.
+pub fn fig1_report(scale: &Scale) -> FigReport {
+    let originals = [
         SchedKind::Random,
         SchedKind::Fifo,
         SchedKind::Fq,
         SchedKind::Sjf,
         SchedKind::Lifo,
         SchedKind::FqFifoPlusMix,
-    ]
-}
-
-/// The fixed ratio grid Figure 1's artifact samples the CDF on
-/// (0.0 to 2.0 in steps of 0.1 — the paper's plotted range).
-pub fn fig1_ratio_axis() -> Vec<f64> {
-    // i/10 (not i*0.1): the division rounds to the double nearest the
-    // decimal, so artifact x values print as `1.2`, not
-    // `1.2000000000000002`.
-    (0..=20).map(|i| i as f64 / 10.0).collect()
-}
-
-/// One Figure-1 cell: record `orig`'s schedule at `seed`, replay it
-/// under LSTF, and return the queueing-delay ratio distribution.
-pub fn fig1_cell(scale: &Scale, orig: SchedKind, seed: u64) -> Cdf {
-    let coord = ups_sweep::CellCoord {
-        topo: TopoKind::I2(I2Variant::Default1g10g),
-        sched: orig,
-        util: 0.7,
-        chaos: ups_sweep::ChaosSpec::OFF,
-    };
-    let (report, _) = ups_sweep::record_and_replay(&coord, &scale.sim(), seed, ReplayMode::lstf());
-    Cdf::new(report.qdelay_ratios)
-}
-
-/// Figure 1: per-original-scheduler CDFs of the queueing-delay ratio
-/// (one run at the scale's base seed; [`fig1_report`] is the multi-seed
-/// sweep variant).
-pub fn fig1(scale: &Scale) -> Vec<(&'static str, Cdf)> {
-    fig1_originals()
-        .into_iter()
-        .map(|orig| (orig.label(), fig1_cell(scale, orig, scale.seed)))
-        .collect()
-}
-
-/// Figure 1 through the sweep engine: every original scheduler ×
-/// `scale.replicates` seed replicates on `scale.jobs` workers, the CDF
-/// evaluated on the fixed ratio axis with mean ± stddev per point.
-pub fn fig1_report(scale: &Scale) -> FigReport {
-    let originals = fig1_originals();
-    let xs = fig1_ratio_axis();
+    ];
+    // 0.0 to 2.0 in steps of 0.1 — the paper's plotted range. i/10 (not
+    // i*0.1): the division rounds to the double nearest the decimal, so
+    // artifact x values print as `1.2`, not `1.2000000000000002`.
+    let xs: Vec<f64> = (0..=20).map(|i| i as f64 / 10.0).collect();
     let spec = FigSpec::new(
         "fig1",
         "Figure 1 — CDF of queueing-delay ratio (LSTF replay : original)",
@@ -185,55 +71,20 @@ pub fn fig1_report(scale: &Scale) -> FigReport {
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
     run_fig_with(&spec, scale.label, scale.jobs, |job| {
-        let cdf = fig1_cell(scale, originals[job.series], job.seed);
-        if cdf.is_empty() {
-            return DistMetrics {
-                scalars: vec![0.0; 3],
-                points: vec![0.0; xs.len()],
-            };
-        }
-        DistMetrics {
-            scalars: vec![cdf.len() as f64, cdf.quantile(0.5), cdf.quantile(0.9)],
-            points: cdf.at_many(&xs),
-        }
+        fig1_cell(scale, originals[job.series], job.seed, &xs)
     })
 }
 
-/// One scheme's Figure 2 result.
-#[derive(Debug)]
-pub struct FctResult {
-    /// Scheme label.
-    pub label: String,
-    /// Mean FCT over completed flows (seconds).
-    pub mean_fct: f64,
-    /// Completed / total flows.
-    pub completed: (usize, usize),
-    /// Per-bucket (mean FCT seconds, flow count).
-    pub buckets: Vec<(f64, usize)>,
-}
-
-/// The four Figure-2 schemes (FIFO, SJF, SRPT, LSTF with fs×D slack).
-pub fn fig2_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::Fifo,
-        Scheme::Sjf,
-        Scheme::Srpt,
-        Scheme::LstfFct {
-            d: Dur::from_secs(1),
-        },
-    ]
-}
-
 /// One Figure-2 cell: TCP flows (seed-drawn workload, 5 MB buffers)
-/// under `scheme`, FCTs bucketed by flow size.
-pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> FctResult {
-    let kind = TopoKind::I2(I2Variant::Default1g10g);
-    let topo = kind.build(&scale.sim());
+/// under `scheme`; scalars are the mean FCT and the completed and total
+/// flow counts, points the mean FCT per flow-size bucket.
+fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u64) -> DistMetrics {
+    let topo = I2.build(&scale.sim());
     let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
     drop(topo);
     let horizon = Time::ZERO + scale.horizon * 40 + Dur::from_secs(2);
     let buffer = 5_000_000; // 5 MB, as in §3.1
-    let res = ups_core::run_fct(kind.build(&scale.sim()), &flows, scheme, buffer, horizon);
+    let res = ups_core::run_fct(I2.build(&scale.sim()), &flows, scheme, buffer, horizon);
     let done: Vec<_> = res.iter().filter(|r| r.completed.is_some()).collect();
     let sizes: Vec<u64> = done.iter().map(|r| r.desc.pkts).collect();
     let fcts: Vec<f64> = done
@@ -245,33 +96,30 @@ pub fn fig2_cell(scale: &Scale, buckets: &SizeBuckets, scheme: &Scheme, seed: u6
     } else {
         fcts.iter().sum::<f64>() / fcts.len() as f64
     };
-    FctResult {
-        label: scheme.label(),
-        mean_fct: mean,
-        completed: (done.len(), res.len()),
-        buckets: bucket_means(buckets, &sizes, &fcts),
+    DistMetrics {
+        scalars: vec![mean, done.len() as f64, res.len() as f64],
+        points: bucket_means(buckets, &sizes, &fcts)
+            .into_iter()
+            .map(|(mean, _)| mean)
+            .collect(),
     }
 }
 
 /// Figure 2: mean FCT by flow-size bucket under FIFO / SJF / SRPT /
-/// LSTF(fs×D), TCP with finite buffers (one run at the base seed;
-/// [`fig2_report`] is the multi-seed sweep variant).
-pub fn fig2(scale: &Scale) -> (SizeBuckets, Vec<FctResult>) {
-    let buckets = SizeBuckets::paper_fig2();
-    let results = fig2_schemes()
-        .iter()
-        .map(|scheme| fig2_cell(scale, &buckets, scheme, scale.seed))
-        .collect();
-    (buckets, results)
-}
-
-/// Figure 2 through the sweep engine: per-bucket mean FCT with mean ±
-/// stddev over seed replicates. Buckets with no completed flows in a
-/// replicate contribute 0 to that replicate's point (see the artifact
-/// schema in `ups-sweep`'s crate docs).
+/// LSTF(fs×D), TCP with finite buffers, with mean ± stddev over seed
+/// replicates. Buckets with no completed flows in a replicate contribute
+/// 0 to that replicate's point (see the artifact schema in `ups-sweep`'s
+/// crate docs).
 pub fn fig2_report(scale: &Scale) -> FigReport {
     let buckets = SizeBuckets::paper_fig2();
-    let schemes = fig2_schemes();
+    let schemes = [
+        Scheme::Fifo,
+        Scheme::Sjf,
+        Scheme::Srpt,
+        Scheme::LstfFct {
+            d: Dur::from_secs(1),
+        },
+    ];
     let labels = (0..buckets.count()).map(|b| buckets.label(b)).collect();
     let spec = FigSpec::new(
         "fig2",
@@ -283,118 +131,58 @@ pub fn fig2_report(scale: &Scale) -> FigReport {
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
     run_fig_with(&spec, scale.label, scale.jobs, |job| {
-        let r = fig2_cell(scale, &buckets, &schemes[job.series], job.seed);
-        DistMetrics {
-            scalars: vec![r.mean_fct, r.completed.0 as f64, r.completed.1 as f64],
-            points: r.buckets.iter().map(|&(mean, _)| mean).collect(),
-        }
+        fig2_cell(scale, &buckets, &schemes[job.series], job.seed)
     })
 }
 
-/// One scheme's Figure 3 result.
-#[derive(Debug)]
-pub struct TailResult {
-    /// Scheme label.
-    pub label: String,
-    /// Mean packet delay (seconds).
-    pub mean: f64,
-    /// 99th-percentile delay (seconds).
-    pub p99: f64,
-    /// 99.9th-percentile delay (seconds).
-    pub p999: f64,
-    /// Maximum delay (seconds).
-    pub max: f64,
-    /// The full delay distribution for CCDF printing.
-    pub cdf: Cdf,
+/// One Figure-3 cell: per-packet delays under `scheme` on a seed-drawn
+/// open-loop UDP workload (identical load across schemes at one seed);
+/// scalars are the mean delay and the packet count, points the delay at
+/// each of `ps` (quantiles in `[0, 1]`). An empty workload (e.g.
+/// `--horizon-ms 0`) yields all-zero statistics rather than a quantile
+/// panic.
+fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64, ps: &[f64]) -> DistMetrics {
+    let topo = I2.build(&scale.sim());
+    let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
+    drop(topo);
+    let delays = ups_core::run_tail_delays(I2.build(&scale.sim()), &flows, scheme, 1500, None);
+    let cdf = Cdf::new(delays);
+    if cdf.is_empty() {
+        return DistMetrics {
+            scalars: vec![0.0; 2],
+            points: vec![0.0; ps.len()],
+        };
+    }
+    DistMetrics {
+        scalars: vec![cdf.mean(), cdf.len() as f64],
+        points: cdf.quantiles(ps),
+    }
 }
 
-/// The two Figure-3 schemes: FIFO vs LSTF with constant slack (≡ FIFO+).
-pub fn fig3_schemes() -> Vec<Scheme> {
-    vec![
+/// Figure 3: per-packet delay at fixed percentiles under FIFO vs LSTF
+/// with constant slack (≡ FIFO+), open-loop UDP so the load is
+/// identical, with mean ± stddev over seed replicates.
+pub fn fig3_report(scale: &Scale) -> FigReport {
+    let schemes = [
         Scheme::Fifo,
         Scheme::LstfConst {
             slack: Dur::from_secs(1),
         },
-    ]
-}
-
-/// The percentiles Figure 3's artifact reports tail delay at.
-pub fn fig3_percentile_axis() -> Vec<f64> {
-    vec![50.0, 90.0, 95.0, 99.0, 99.9, 100.0]
-}
-
-/// One Figure-3 cell: per-packet delays under `scheme` on a seed-drawn
-/// open-loop UDP workload (identical load across schemes at one seed).
-/// An empty workload (e.g. `--horizon-ms 0`) yields all-zero statistics
-/// rather than a quantile panic, matching `fig1_cell`'s empty handling.
-pub fn fig3_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> TailResult {
-    let kind = TopoKind::I2(I2Variant::Default1g10g);
-    let topo = kind.build(&scale.sim());
-    let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
-    drop(topo);
-    let delays = ups_core::run_tail_delays(kind.build(&scale.sim()), &flows, scheme, 1500, None);
-    let cdf = Cdf::new(delays);
-    let q = |p: f64| if cdf.is_empty() { 0.0 } else { cdf.quantile(p) };
-    TailResult {
-        label: scheme.label(),
-        mean: cdf.mean(),
-        p99: q(0.99),
-        p999: q(0.999),
-        max: q(1.0),
-        cdf,
-    }
-}
-
-/// Figure 3: per-packet delays under FIFO vs LSTF with constant slack
-/// (≡ FIFO+), open-loop UDP so the load is identical (one run at the
-/// base seed; [`fig3_report`] is the multi-seed sweep variant).
-pub fn fig3(scale: &Scale) -> Vec<TailResult> {
-    fig3_schemes()
-        .iter()
-        .map(|scheme| fig3_cell(scale, scheme, scale.seed))
-        .collect()
-}
-
-/// Figure 3 through the sweep engine: delay at fixed percentiles with
-/// mean ± stddev over seed replicates.
-pub fn fig3_report(scale: &Scale) -> FigReport {
-    let schemes = fig3_schemes();
-    let xs = fig3_percentile_axis();
+    ];
+    let xs = vec![50.0, 90.0, 95.0, 99.0, 99.9, 100.0];
     let ps: Vec<f64> = xs.iter().map(|&p| p / 100.0).collect();
     let spec = FigSpec::new(
         "fig3",
         "Figure 3 — tail packet delay percentiles, FIFO vs LSTF(const)",
         schemes.iter().map(|s| s.label()).collect(),
-        FigAxis::numeric("percentile", xs.clone()),
+        FigAxis::numeric("percentile", xs),
     )
     .with_scalars(&["mean_s", "packets"])
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
     run_fig_with(&spec, scale.label, scale.jobs, |job| {
-        let r = fig3_cell(scale, &schemes[job.series], job.seed);
-        if r.cdf.is_empty() {
-            return DistMetrics {
-                scalars: vec![0.0; 2],
-                points: vec![0.0; ps.len()],
-            };
-        }
-        DistMetrics {
-            scalars: vec![r.mean, r.cdf.len() as f64],
-            points: r.cdf.quantiles(&ps),
-        }
+        fig3_cell(scale, &schemes[job.series], job.seed, &ps)
     })
-}
-
-/// The seven Figure-4 schemes: FIFO, FQ, and LSTF with virtual-clock
-/// slack at five `rest` estimates.
-pub fn fig4_schemes() -> Vec<Scheme> {
-    let mut schemes = vec![Scheme::Fifo, Scheme::Fq];
-    for rest_mbps in [1000, 500, 100, 50, 10] {
-        schemes.push(Scheme::LstfVc {
-            rest: Bandwidth::mbps(rest_mbps),
-        });
-    }
-    schemes
 }
 
 /// Figure 4's measurement windows: 1 ms windows over a 20 ms horizon
@@ -404,12 +192,13 @@ fn fig4_windows() -> (Dur, Time) {
 }
 
 /// One Figure-4 cell: the Jain-index time series for long-lived TCP
-/// flows (jittered starts drawn from `seed`) under `scheme`.
+/// flows (jittered starts drawn from `seed`) under `scheme`, one point
+/// per window; scalars are the final and the mean index.
 ///
 /// Per the paper: Internet2 with 10 Gbps edges so all congestion is in
 /// the core, shortened propagation delays, jittered flow starts, and
 /// LSTF slack from the virtual-clock rule at several `rest` estimates.
-pub fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint> {
+fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> DistMetrics {
     let factory = || {
         internet2::build(
             &I2Config {
@@ -432,23 +221,28 @@ pub fn fig4_cell(scale: &Scale, scheme: &Scheme, seed: u64) -> Vec<FairnessPoint
     ));
     drop(topo);
     let (window, horizon) = fig4_windows();
-    ups_core::run_fairness(factory(), &flows, scheme, window, horizon, None)
-}
-
-/// Figure 4: Jain fairness convergence for long-lived TCP flows (one
-/// run at the base seed; [`fig4_report`] is the multi-seed sweep
-/// variant).
-pub fn fig4(scale: &Scale) -> Vec<(String, Vec<FairnessPoint>)> {
-    fig4_schemes()
+    let jains: Vec<f64> = ups_core::run_fairness(factory(), &flows, scheme, window, horizon, None)
         .iter()
-        .map(|scheme| (scheme.label(), fig4_cell(scale, scheme, scale.seed)))
-        .collect()
+        .map(|p| p.jain)
+        .collect();
+    let mean = jains.iter().sum::<f64>() / jains.len() as f64;
+    DistMetrics {
+        scalars: vec![*jains.last().expect("windows"), mean],
+        points: jains,
+    }
 }
 
-/// Figure 4 through the sweep engine: the per-window Jain index with
-/// mean ± stddev over seed replicates.
+/// Figure 4: Jain fairness convergence for long-lived TCP flows under
+/// FIFO, FQ, and LSTF with virtual-clock slack at five `rest`
+/// estimates; the per-window index with mean ± stddev over seed
+/// replicates.
 pub fn fig4_report(scale: &Scale) -> FigReport {
-    let schemes = fig4_schemes();
+    let mut schemes = vec![Scheme::Fifo, Scheme::Fq];
+    for rest_mbps in [1000, 500, 100, 50, 10] {
+        schemes.push(Scheme::LstfVc {
+            rest: Bandwidth::mbps(rest_mbps),
+        });
+    }
     let (window, horizon) = fig4_windows();
     // div_ceil, matching ups_metrics::throughput_fairness_series — a
     // floor here would desync the axis from the payload length if the
@@ -465,270 +259,88 @@ pub fn fig4_report(scale: &Scale) -> FigReport {
     .with_replicates(scale.replicates)
     .with_seed(scale.seed);
     run_fig_with(&spec, scale.label, scale.jobs, |job| {
-        let pts = fig4_cell(scale, &schemes[job.series], job.seed);
-        let jains: Vec<f64> = pts.iter().map(|p| p.jain).collect();
-        let mean = jains.iter().sum::<f64>() / jains.len() as f64;
-        DistMetrics {
-            scalars: vec![*jains.last().expect("windows"), mean],
-            points: jains,
-        }
+        fig4_cell(scale, &schemes[job.series], job.seed)
     })
 }
 
-/// §2.3(5): non-preemptive vs preemptive LSTF on the hardest originals.
-pub fn ablation_preempt(scale: &Scale) -> Vec<ReplayRow> {
-    let mut rows = Vec::new();
-    for original in [
-        SchedKind::Sjf,
-        SchedKind::Lifo,
-        SchedKind::Fifo,
-        SchedKind::Random,
-    ] {
-        for mode in [ReplayMode::lstf(), ReplayMode::lstf_preemptive()] {
-            rows.push(
-                run_replay(
-                    TopoKind::I2(I2Variant::Default1g10g),
-                    scale,
-                    0.7,
-                    original,
-                    mode,
-                )
-                .0,
-            );
-        }
-    }
-    rows
-}
+/// The congestion-point histogram's buckets: 0 to 7, then 8 or more.
+const CP_BUCKETS: usize = 9;
 
-/// §2.3(7) + appendices: same original schedule replayed under every
-/// candidate UPS.
-pub fn ablation_priority(scale: &Scale) -> Vec<ReplayRow> {
-    let kind = TopoKind::I2(I2Variant::Default1g10g);
-    let mut orig_topo = kind.build(&scale.sim());
-    let flows = default_udp_workload(&orig_topo, 0.7, scale.horizon, scale.seed);
-    let schedule = record_original(&mut orig_topo, &flows, SchedKind::Random, scale.seed, 1500);
-    drop(orig_topo);
-    [
-        ReplayMode::lstf(),
-        ReplayMode::Priority,
-        ReplayMode::Edf,
-        ReplayMode::Omniscient,
-    ]
-    .into_iter()
-    .map(|mode| {
-        let mut topo = kind.build(&scale.sim());
-        let report = replay_schedule(&mut topo, &schedule, mode);
-        replay_row(
-            kind.label(),
-            0.7,
-            "Random",
-            mode.label().to_string(),
-            CellMetrics::of(&report, &schedule),
-        )
-    })
-    .collect()
-}
-
-/// DESIGN.md ablation: the last-bit deadline key vs the pure deadline
-/// key (they coincide for uniform packet sizes; this verifies that).
-pub fn ablation_lstf_key(scale: &Scale) -> Vec<ReplayRow> {
-    [LstfKeyMode::LastBit, LstfKeyMode::PureDeadline]
+/// One congestion-point cell: record the Random original at 70% on
+/// `kind`; points are the share of packets per congestion-point bucket,
+/// the scalar is the mean slack (µs).
+fn congestion_points_cell(scale: &Scale, kind: TopoKind, seed: u64) -> DistMetrics {
+    let mut topo = kind.build(&scale.sim());
+    let flows = default_udp_workload(&topo, 0.7, scale.horizon, seed);
+    let schedule = record_original(&mut topo, &flows, SchedKind::Random, seed, 1500);
+    let mut counts = [0usize; CP_BUCKETS];
+    for (cp, n) in schedule
+        .congestion_point_histogram()
         .into_iter()
-        .map(|key| {
-            run_replay(
-                TopoKind::I2(I2Variant::Default1g10g),
-                scale,
-                0.7,
-                SchedKind::Random,
-                ReplayMode::Lstf {
-                    preemptive: false,
-                    key,
-                },
-            )
-            .0
-        })
-        .collect()
+        .enumerate()
+    {
+        counts[cp.min(CP_BUCKETS - 1)] += n;
+    }
+    let total = counts.iter().sum::<usize>().max(1) as f64;
+    DistMetrics {
+        scalars: vec![schedule.mean_slack() / 1e6],
+        points: counts.iter().map(|&n| n as f64 / total).collect(),
+    }
 }
 
-/// §2.2 diagnostic: congestion points per packet across topologies.
-pub fn congestion_points(scale: &Scale) -> Vec<(String, Vec<usize>, f64)> {
-    [
-        TopoKind::I2(I2Variant::Default1g10g),
+/// §2.2 diagnostic: the share of packets per congestion-point count
+/// under the Random original, one series per topology. The replay
+/// theorems are stated in these terms: ≤2 congestion points ⇒ LSTF
+/// replays perfectly; ≥3 ⇒ no UPS can.
+pub fn congestion_points_report(scale: &Scale) -> FigReport {
+    let topos = [
+        I2,
         TopoKind::I2(I2Variant::Access1g1g),
         TopoKind::I2(I2Variant::Access10g10g),
         TopoKind::RocketFuel,
         TopoKind::FatTree,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let mut topo = kind.build(&scale.sim());
-        let flows = default_udp_workload(&topo, 0.7, scale.horizon, scale.seed);
-        let schedule = record_original(&mut topo, &flows, SchedKind::Random, scale.seed, 1500);
-        (
-            kind.label(),
-            schedule.congestion_point_histogram(),
-            schedule.mean_slack() / 1e6,
-        )
+    ];
+    let labels = (0..CP_BUCKETS)
+        .map(|k| match k {
+            k if k + 1 < CP_BUCKETS => k.to_string(),
+            k => format!("{k}+"),
+        })
+        .collect();
+    let spec = FigSpec::new(
+        "congestion-points",
+        "Congestion points per packet (Random original, 70%)",
+        topos.iter().map(|t| t.label()).collect(),
+        FigAxis::categorical("cp", labels),
+    )
+    .with_scalars(&["mean_slack_us"])
+    .with_replicates(scale.replicates)
+    .with_seed(scale.seed);
+    run_fig_with(&spec, scale.label, scale.jobs, |job| {
+        congestion_points_cell(scale, topos[job.series], job.seed)
     })
-    .collect()
-}
-
-/// Format a replay-row table for stdout.
-pub fn print_replay_rows(title: &str, rows: &[ReplayRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<18} {:>5} {:<9} {:<14} {:>9} {:>12} {:>10} {:>8} {:>7} {:>12}",
-        "Topology",
-        "Util",
-        "Original",
-        "Replay",
-        "Packets",
-        "FracOverdue",
-        "Frac>T",
-        "T(us)",
-        "MaxCP",
-        "MeanSlack(us)"
-    );
-    for r in rows {
-        println!(
-            "{:<18} {:>4.0}% {:<9} {:<14} {:>9} {:>12.6} {:>10.6} {:>8.1} {:>7} {:>12.1}",
-            r.topo,
-            r.util * 100.0,
-            r.original,
-            r.mode,
-            r.total,
-            r.frac_overdue,
-            r.frac_gt_t,
-            r.t_us,
-            r.max_cp,
-            r.mean_slack_us
-        );
-    }
-}
-
-/// Format a figure report for stdout: header, per-series scalar
-/// summaries, then the mean ± stddev curve table (one column per
-/// series, one row per x-axis point).
-pub fn print_fig_report(report: &FigReport) {
-    println!("\n=== {} ===", report.title);
-    println!(
-        "scale {}, {} replicate(s), base seed {} (output is identical for every --jobs value)",
-        report.scale, report.replicates, report.base_seed
-    );
-    if !report.scalar_names.is_empty() {
-        println!();
-        print!("{:<16}", "series");
-        for name in &report.scalar_names {
-            print!(" {name:>22}");
-        }
-        println!();
-        for r in &report.results {
-            print!("{:<16}", r.series);
-            for s in &r.scalars {
-                print!(" {:>13.4} ±{:>7.4}", s.mean, s.stddev);
-            }
-            println!();
-        }
-    }
-    println!();
-    print!("{:<12}", report.axis.name);
-    for r in &report.results {
-        print!(" {:>20}", r.series);
-    }
-    println!();
-    for (i, &x) in report.axis.xs.iter().enumerate() {
-        let row_label = report
-            .axis
-            .labels
-            .as_ref()
-            .map_or_else(|| format!("{x}"), |labels| labels[i].clone());
-        print!("{row_label:<12}");
-        for r in &report.results {
-            let s = &r.points[i];
-            print!(" {:>11.4} ±{:>7.4}", s.mean, s.stddev);
-        }
-        println!();
-    }
-}
-
-/// Write a figure report's JSON + CSV artifacts under `out`, printing
-/// the paths; exits(1) on an IO error (binary-level helper).
-pub fn write_fig_artifacts(report: &FigReport, out: &Path) {
-    match report.write(out) {
-        Ok((json, csv)) => println!("\nwrote {} and {}", json.display(), csv.display()),
-        Err(e) => {
-            eprintln!("error: writing artifacts to {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
-        Scale {
-            edges_per_core: 2,
-            horizon: Dur::from_millis(2),
-            fattree_k: 4,
-            seed: 7,
-            jobs: 1,
-            replicates: 1,
-            label: "tiny",
-        }
-    }
-
-    #[test]
-    fn replay_row_has_sane_fields() {
-        let (row, report, schedule) = run_replay(
-            TopoKind::I2(I2Variant::Default1g10g),
-            &tiny(),
-            0.5,
-            SchedKind::Random,
-            ReplayMode::lstf(),
-        );
-        assert!(row.total > 0);
-        assert!(row.frac_overdue <= 1.0);
-        assert!(row.frac_gt_t <= row.frac_overdue);
-        assert_eq!(report.total, schedule.len());
-        assert!(
-            (row.t_us - 12.0).abs() < 1e-9,
-            "T must be 12us, got {}",
-            row.t_us
-        );
-    }
-
-    #[test]
-    fn fig1_report_matches_single_run_at_one_replicate() {
-        // With one replicate the sweep path must reproduce the legacy
-        // serial path exactly — same seed, same cells, same CDF values.
-        let scale = tiny();
-        let report = fig1_report(&scale);
-        let legacy = fig1(&scale);
-        assert_eq!(report.results.len(), legacy.len());
-        let xs = fig1_ratio_axis();
-        for (r, (label, cdf)) in report.results.iter().zip(&legacy) {
-            assert_eq!(&r.series, label);
-            assert_eq!(r.replicates, 1);
-            for (s, &x) in r.points.iter().zip(&xs) {
-                assert_eq!(s.mean, cdf.at(x), "{label} at ratio {x}");
-                assert_eq!(s.stddev, 0.0);
-            }
-        }
-    }
-
     #[test]
     fn fig3_report_aggregates_replicates() {
         // fig3 is the cheapest multi-scheme figure (two open-loop UDP
         // runs per replicate), so it carries the multi-replicate wiring
         // check; fig4's 20 ms TCP sims would cost ~50s here.
-        let mut scale = tiny();
-        scale.replicates = 2;
-        scale.jobs = 2;
+        let scale = Scale {
+            edges_per_core: 2,
+            horizon: Dur::from_millis(2),
+            fattree_k: 4,
+            seed: 7,
+            jobs: 2,
+            replicates: 2,
+            label: "tiny",
+        };
         let report = fig3_report(&scale);
         assert_eq!(report.results.len(), 2);
-        assert_eq!(report.axis.xs, fig3_percentile_axis());
+        assert_eq!(report.axis.xs, [50.0, 90.0, 95.0, 99.0, 99.9, 100.0]);
         for r in &report.results {
             assert_eq!(r.replicates, 2);
             // Percentile curve is monotone in the mean.
@@ -744,17 +356,5 @@ mod tests {
                 r.series
             );
         }
-    }
-
-    #[test]
-    fn omniscient_is_perfect_on_i2() {
-        let (row, _, _) = run_replay(
-            TopoKind::I2(I2Variant::Default1g10g),
-            &tiny(),
-            0.6,
-            SchedKind::Random,
-            ReplayMode::Omniscient,
-        );
-        assert_eq!(row.frac_overdue, 0.0, "Appendix B violated");
     }
 }

@@ -4,8 +4,8 @@ use std::path::PathBuf;
 use ups_sim::Dur;
 use ups_sweep::SimScale;
 
-/// Flag reference (no `usage:` synopsis line, so binaries with extra
-/// flags — like `sweep` — can print their own synopsis above it).
+/// Flag reference (no `usage:` synopsis line, so `sweep` can print its
+/// own synopsis above it).
 pub const SCALE_FLAGS: &str = "\
 scale flags:
   --full          paper-like scale (default: quick)
@@ -13,16 +13,13 @@ scale flags:
   --horizon-ms N  flow-arrival horizon in milliseconds
   --edges N       edge routers per core router on WAN topologies
   --jobs N        worker threads (default: available parallelism;
-                  output is identical for every value). Only sweep-
-                  backed experiments parallelize: sweep, table1,
-                  fig1-fig4, all_experiments — a no-op elsewhere.
+                  output is identical for every value)
   --replicates N  seed replicates per grid cell, reported as
-                  mean +/- stddev (default: 1). Sweep-backed
-                  experiments only — a no-op elsewhere.";
+                  mean +/- stddev (default: 1)";
 
 /// Remove every `--out DIR` from `args`, returning the last directory
-/// given (default: `target/sweep`) — the artifact-directory flag shared
-/// by the sweep-backed figure binaries.
+/// given (default: `target/sweep`) — the artifact-directory flag of
+/// every `sweep` run path.
 pub fn take_out_flag(args: &mut Vec<String>) -> Result<PathBuf, String> {
     let mut out = PathBuf::from("target/sweep");
     while let Some(i) = args.iter().position(|a| a == "--out") {
@@ -54,8 +51,8 @@ pub struct Scale {
     pub fattree_k: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Worker threads for sweep-backed experiments. Results are
-    /// byte-identical for every value; this only trades wall-clock.
+    /// Worker threads. Results are byte-identical for every value; this
+    /// only trades wall-clock.
     pub jobs: usize,
     /// Seed replicates per sweep cell (mean ± stddev aggregation).
     pub replicates: usize,
@@ -141,40 +138,6 @@ impl Scale {
             }
         }
         Ok(s)
-    }
-
-    /// Parse from `std::env::args`; print the error and usage, then
-    /// exit(2), on bad input.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Scale::parse(&args) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}\nusage: <experiment> [scale flags]\n{SCALE_FLAGS}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse from `std::env::args` with `--out DIR` support — the entry
-    /// point for binaries that write sweep artifacts. Returns the scale
-    /// and the artifact directory (default `target/sweep`); prints the
-    /// error and usage, then exit(2), on bad input.
-    pub fn from_args_with_out() -> (Scale, PathBuf) {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
-        let parsed = take_out_flag(&mut args).and_then(|out| Ok((Scale::parse(&args)?, out)));
-        match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!(
-                    "error: {e}\n\
-                     usage: <experiment> [--out DIR] [scale flags]\n  \
-                     --out DIR    artifact directory (default: target/sweep)\n\
-                     {SCALE_FLAGS}"
-                );
-                std::process::exit(2);
-            }
-        }
     }
 }
 

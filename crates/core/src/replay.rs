@@ -43,7 +43,7 @@ pub enum ReplayMode {
 
 impl ReplayMode {
     /// Non-preemptive paper-default LSTF.
-    pub fn lstf() -> ReplayMode {
+    pub const fn lstf() -> ReplayMode {
         ReplayMode::Lstf {
             preemptive: false,
             key: LstfKeyMode::LastBit,
@@ -51,7 +51,7 @@ impl ReplayMode {
     }
 
     /// Preemptive LSTF (ablation).
-    pub fn lstf_preemptive() -> ReplayMode {
+    pub const fn lstf_preemptive() -> ReplayMode {
         ReplayMode::Lstf {
             preemptive: true,
             key: LstfKeyMode::LastBit,

@@ -564,11 +564,6 @@ impl Link {
         self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.sched.len());
     }
 
-    /// True once a chaos policy is installed on this link.
-    pub fn chaos_installed(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// Kill the in-service transmission, if any, accounting the wire
     /// time already spent and surfacing the packet as a chaos drop. The
     /// scheduled `TxDone` is invalidated through the generation counter,

@@ -126,10 +126,8 @@ pub trait App: std::fmt::Debug + Send {
 /// [`Network::configure_links`]. Every field defaults to "keep the
 /// link's current setting"; builder methods opt individual knobs in.
 ///
-/// This replaces the former mutator sprawl (`set_scheduler`,
-/// `set_all_schedulers`, `set_all_buffers`, `set_all_preemptive`) with
-/// one composable value, so an experiment states its whole port policy in
-/// a single closure:
+/// One composable value, so an experiment states its whole port policy
+/// in a single closure:
 ///
 /// ```ignore
 /// net.configure_links(|l| {
@@ -319,30 +317,6 @@ impl Network {
         }
     }
 
-    /// Install a scheduler on one link.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().scheduler(..)")]
-    pub fn set_scheduler(&mut self, link: LinkId, sched: Box<dyn Scheduler>) {
-        self.links[link.0 as usize].set_scheduler(sched);
-    }
-
-    /// Install schedulers on every link from a factory.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().scheduler(..)")]
-    pub fn set_all_schedulers(&mut self, mut make: impl FnMut(&Link) -> Box<dyn Scheduler>) {
-        self.configure_links(|l| LinkPolicy::keep().scheduler(make(l)));
-    }
-
-    /// Set every link's buffer capacity (bytes); `None` = unbounded.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().buffer(..)")]
-    pub fn set_all_buffers(&mut self, bytes: Option<u64>) {
-        self.configure_links(|_| LinkPolicy::keep().buffer(bytes));
-    }
-
-    /// Enable or disable preemptive transmission on every link.
-    #[deprecated(note = "use configure_links with LinkPolicy::keep().preemptive(..)")]
-    pub fn set_all_preemptive(&mut self, on: bool) {
-        self.configure_links(|_| LinkPolicy::keep().preemptive(on));
-    }
-
     /// Install a chaos perturbation layer (see [`crate::chaos`]): the
     /// closure is consulted once per link, in link-id order, and returns
     /// the [`ChaosPolicy`] to compile for that link — or `None` to leave
@@ -385,14 +359,6 @@ impl Network {
         if self.apps[node.0 as usize].replace(app).is_none() {
             self.napps += 1;
         }
-    }
-
-    /// Detach and return the application at `node`, if any. Used after a
-    /// run to harvest application-level results (e.g. flow completions).
-    pub fn take_app(&mut self, node: NodeId) -> Option<Box<dyn App>> {
-        let app = self.apps[node.0 as usize].take();
-        self.napps -= app.is_some() as usize;
-        app
     }
 
     // ------------------------------------------------------------------
@@ -504,11 +470,6 @@ impl Network {
     /// Current simulation time.
     pub fn now(&self) -> Time {
         self.queue.now()
-    }
-
-    /// Pending event count.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Packets currently travelling between events (injected or

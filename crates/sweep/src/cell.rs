@@ -8,7 +8,7 @@
 use crate::grid::{CellCoord, SimScale};
 use ups_core::deadline::{
     deadline_flow_stats, record_deadline_original, replay_deadline, replay_deadline_lossy,
-    DeadlineMode,
+    DeadlineMode, DeadlineSchedule,
 };
 use ups_core::replay::{
     record_original, replay_schedule, replay_schedule_lossy, ReplayMode, ReplayReport,
@@ -20,8 +20,10 @@ use ups_obs::NetSeries;
 use ups_sim::Time;
 use ups_transport::FlowDesc;
 
-/// Per-replicate measurements of one grid cell (the sweep analogue of
-/// `ups-bench`'s `ReplayRow`, without the display strings).
+/// The MTU every cell records and replays with.
+const MTU: u32 = 1500;
+
+/// Per-replicate measurements of one grid cell.
 #[derive(Debug, Clone, Copy)]
 pub struct CellMetrics {
     /// Packets replayed.
@@ -98,34 +100,6 @@ pub struct DistMetrics {
     pub points: Vec<f64>,
 }
 
-/// The record-and-replay pipeline shared by the sweep engine and
-/// `ups-bench`'s `run_replay`: record `coord.sched`'s schedule on a
-/// fresh topology (default web workload, 1500-byte MTU), rebuild, and
-/// replay under `mode`. Pure in its arguments — same inputs, same
-/// outputs — which is what lets the pool run cells in any order.
-pub fn record_and_replay(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    mode: ReplayMode,
-) -> (ReplayReport, RecordedSchedule) {
-    record_and_replay_workload(coord, sim, seed, mode, WorkloadKind::Web)
-}
-
-/// [`record_and_replay`] generalized over the workload family — the
-/// pipeline the scenario registry runs, where a grid pairs its topology
-/// with incast or deadline-mix traffic instead of the default web flows.
-pub fn record_and_replay_workload(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    mode: ReplayMode,
-    workload: WorkloadKind,
-) -> (ReplayReport, RecordedSchedule) {
-    let run = record_and_replay_observed(coord, sim, seed, mode, workload);
-    (run.report, run.schedule)
-}
-
 /// Everything one observed replicate produced: the replay score, the
 /// recorded schedule, deadline outcomes (when the workload tagged
 /// flows), and — when process-wide sampling is enabled
@@ -147,54 +121,14 @@ pub struct ObservedRun {
     pub series: Option<NetSeries>,
 }
 
-/// [`record_and_replay_workload`] with observability harvested: the
-/// record-run sampler series is taken before the topology drops, and
-/// the replay's delivery telemetry is reduced to deadline outcomes.
-/// Strictly read-only over both runs — the report and schedule are
-/// bit-identical to the unobserved pipeline's.
-pub fn record_and_replay_observed(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    mode: ReplayMode,
-    workload: WorkloadKind,
-) -> ObservedRun {
-    let mut orig_topo = coord.topo.build(sim);
-    let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
-    let schedule = record_original(&mut orig_topo, &flows, coord.sched, seed, 1500);
-    let series = orig_topo.net.take_series();
-    drop(orig_topo);
-    // The record leg always runs clean — chaos perturbs the *replay*
-    // only, so the degradation curve measures how the recorded schedule
-    // survives an unreliable network, not a different schedule.
-    let mut replay_topo = coord.topo.build(sim);
-    let (report, chaos) = match coord.chaos.to_policy() {
-        None => (replay_schedule(&mut replay_topo, &schedule, mode), None),
-        Some(policy) => {
-            // Windows are precomputed to a horizon; replay drains past
-            // the arrival horizon, so leave generous headroom.
-            let chaos_horizon = Time::ZERO + sim.horizon * 8;
-            replay_topo
-                .net
-                .install_chaos(chaos_horizon, |_| Some(policy.clone()));
-            let report = replay_schedule_lossy(&mut replay_topo, &schedule, mode);
-            let totals = replay_topo.net.chaos_totals();
-            let cell = ChaosCell {
-                fidelity: report.fidelity(),
-                frac_lost: report.frac_lost(),
-                chaos_drops: totals.drops,
-                outage_us: totals.outage.as_micros_f64(),
-            };
-            (report, Some(cell))
+impl ObservedRun {
+    /// Reduce the run to the cell's metrics.
+    pub fn metrics(&self) -> CellMetrics {
+        CellMetrics {
+            deadline: self.deadline,
+            chaos: self.chaos,
+            ..CellMetrics::of(&self.report, &self.schedule)
         }
-    };
-    let deadline = deadline_cell(&flows, &replay_topo.net.telemetry);
-    ObservedRun {
-        report,
-        schedule,
-        deadline,
-        chaos,
-        series,
     }
 }
 
@@ -215,8 +149,7 @@ fn deadline_cell(flows: &[FlowDesc], telemetry: &Telemetry) -> Option<DeadlineCe
 
 impl CellMetrics {
     /// The canonical reduction of a replay run to cell metrics — the
-    /// single home of the unit conversions (T in µs, slack ps → µs),
-    /// shared by the sweep engine and `ups-bench`'s row builders.
+    /// single home of the unit conversions (T in µs, slack ps → µs).
     pub fn of(report: &ReplayReport, schedule: &RecordedSchedule) -> CellMetrics {
         CellMetrics {
             total: report.total,
@@ -229,24 +162,6 @@ impl CellMetrics {
             chaos: None,
         }
     }
-}
-
-/// Run one sweep job: [`record_and_replay`] under (non-preemptive)
-/// LSTF, reduced to the cell's replayability metrics.
-pub fn run_cell(coord: &CellCoord, sim: &SimScale, seed: u64) -> CellMetrics {
-    let (report, schedule) = record_and_replay(coord, sim, seed, ReplayMode::lstf());
-    CellMetrics::of(&report, &schedule)
-}
-
-/// [`run_cell`] with an explicit workload family — the job runner
-/// behind [`crate::scenario::Scenario::run`].
-pub fn run_cell_workload(
-    coord: &CellCoord,
-    sim: &SimScale,
-    seed: u64,
-    workload: WorkloadKind,
-) -> CellMetrics {
-    CellPipeline::Replay.cell(coord, sim, seed, workload)
 }
 
 /// Which record-and-replay leg a scenario's cells run.
@@ -273,14 +188,18 @@ impl CellPipeline {
         seed: u64,
         workload: WorkloadKind,
     ) -> ObservedRun {
-        match self {
-            CellPipeline::Replay => {
-                record_and_replay_observed(coord, sim, seed, ReplayMode::lstf(), workload)
-            }
+        let leg = match self {
+            CellPipeline::Replay => Leg::Original(ReplayMode::lstf()),
             CellPipeline::DeadlineReplay => {
-                record_and_replay_deadline_observed(coord, sim, seed, workload)
+                Leg::Deadline(DeadlineMode::from_sched(coord.sched).unwrap_or_else(|| {
+                    panic!(
+                        "deadline-replay cells take EDF/LSTF/Priority sched coordinates, got {}",
+                        coord.sched.label()
+                    )
+                }))
             }
-        }
+        };
+        run(coord, sim, seed, workload, leg)
     }
 
     /// Run one replicate and reduce it to the cell's metrics.
@@ -291,59 +210,110 @@ impl CellPipeline {
         seed: u64,
         workload: WorkloadKind,
     ) -> CellMetrics {
-        let run = self.observed(coord, sim, seed, workload);
-        let mut metrics = CellMetrics::of(&run.report, &run.schedule);
-        metrics.deadline = run.deadline;
-        metrics.chaos = run.chaos;
-        metrics
+        self.observed(coord, sim, seed, workload).metrics()
     }
 }
 
-/// The deadline pipeline's observed replicate: record EDF on virtual
-/// deadlines (clean — chaos perturbs the replay leg only, like the
-/// classic pipeline), rebuild, replay under the candidate named by
-/// `coord.sched`, and reduce the replay's delivery telemetry to
-/// per-flow deadline outcomes.
-pub fn record_and_replay_deadline_observed(
+/// The classic leg under an explicit replay mode, on the default web
+/// workload: record `coord.sched`'s schedule and replay it under `mode`
+/// (the ablation grids vary the mode; [`CellPipeline::Replay`] fixes it
+/// to non-preemptive LSTF).
+pub fn record_and_replay(
+    coord: &CellCoord,
+    sim: &SimScale,
+    seed: u64,
+    mode: ReplayMode,
+) -> ObservedRun {
+    run(coord, sim, seed, WorkloadKind::Web, Leg::Original(mode))
+}
+
+/// What a run records and how it replays the recording.
+enum Leg {
+    /// Record the cell's `sched` coordinate, replay under the mode.
+    Original(ReplayMode),
+    /// Record network-wide EDF on virtual deadlines, replay under the
+    /// candidate.
+    Deadline(DeadlineMode),
+}
+
+/// A recording, paired with the mode that replays it.
+enum Recorded {
+    Original(RecordedSchedule, ReplayMode),
+    Deadline(DeadlineSchedule, DeadlineMode),
+}
+
+/// The one record-and-replay body behind every cell. Pure in its
+/// arguments — same inputs, same outputs — which is what lets the pool
+/// run cells in any order; observation is strictly read-only, so the
+/// report and schedule are bit-identical with sampling on or off.
+fn run(
     coord: &CellCoord,
     sim: &SimScale,
     seed: u64,
     workload: WorkloadKind,
+    leg: Leg,
 ) -> ObservedRun {
-    let mode = DeadlineMode::from_sched(coord.sched).unwrap_or_else(|| {
-        panic!(
-            "deadline-replay cells take EDF/LSTF/Priority sched coordinates, got {}",
-            coord.sched.label()
-        )
-    });
-    let mut orig_topo = coord.topo.build(sim);
-    let flows = workload.build(&orig_topo, coord.util, sim.horizon, seed);
-    let ds = record_deadline_original(&mut orig_topo, &flows, 1500);
-    let series = orig_topo.net.take_series();
-    drop(orig_topo);
-    let mut replay_topo = coord.topo.build(sim);
-    let (report, chaos) = match coord.chaos.to_policy() {
-        None => (replay_deadline(&mut replay_topo, &ds, mode), None),
-        Some(policy) => {
-            let chaos_horizon = Time::ZERO + sim.horizon * 8;
-            replay_topo
-                .net
-                .install_chaos(chaos_horizon, |_| Some(policy.clone()));
-            let report = replay_deadline_lossy(&mut replay_topo, &ds, mode);
-            let totals = replay_topo.net.chaos_totals();
-            let cell = ChaosCell {
-                fidelity: report.fidelity(),
-                frac_lost: report.frac_lost(),
-                chaos_drops: totals.drops,
-                outage_us: totals.outage.as_micros_f64(),
-            };
-            (report, Some(cell))
+    // 1. Build the topology and the workload.
+    let mut topo = coord.topo.build(sim);
+    let flows = workload.build(&topo, coord.util, sim.horizon, seed);
+    // 2. Record. The record leg always runs clean — chaos perturbs the
+    // *replay* only, so a degradation curve measures how one recorded
+    // schedule survives an unreliable network, not a different schedule.
+    let recorded = match leg {
+        Leg::Original(mode) => Recorded::Original(
+            record_original(&mut topo, &flows, coord.sched, seed, MTU),
+            mode,
+        ),
+        Leg::Deadline(mode) => {
+            Recorded::Deadline(record_deadline_original(&mut topo, &flows, MTU), mode)
         }
     };
-    let deadline = deadline_cell(&flows, &replay_topo.net.telemetry);
+    // 3. Take the sampled series; the record network is dropped before
+    // the replay network is built, so only one is ever alive.
+    let series = topo.net.take_series();
+    drop(topo);
+    // 4. Rebuild, and install chaos if the cell asks for it. Windows are
+    // precomputed to a horizon; replay drains past the arrival horizon,
+    // so leave generous headroom.
+    let mut topo = coord.topo.build(sim);
+    let policy = coord.chaos.to_policy();
+    if let Some(policy) = &policy {
+        topo.net
+            .install_chaos(Time::ZERO + sim.horizon * 8, |_| Some(policy.clone()));
+    }
+    let lossy = policy.is_some();
+    // 5. Replay, then reduce the result to deadline outcomes.
+    let (report, schedule) = match recorded {
+        Recorded::Original(schedule, mode) => {
+            let replay = if lossy {
+                replay_schedule_lossy
+            } else {
+                replay_schedule
+            };
+            (replay(&mut topo, &schedule, mode), schedule)
+        }
+        Recorded::Deadline(ds, mode) => {
+            let replay = if lossy {
+                replay_deadline_lossy
+            } else {
+                replay_deadline
+            };
+            (replay(&mut topo, &ds, mode), ds.schedule)
+        }
+    };
+    let chaos = lossy.then(|| {
+        let totals = topo.net.chaos_totals();
+        ChaosCell {
+            fidelity: report.fidelity(),
+            frac_lost: report.frac_lost(),
+            chaos_drops: totals.drops,
+            outage_us: totals.outage.as_micros_f64(),
+        }
+    });
+    let deadline = deadline_cell(&flows, &topo.net.telemetry);
     ObservedRun {
         report,
-        schedule: ds.schedule,
+        schedule,
         deadline,
         chaos,
         series,
@@ -368,22 +338,22 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_is_deterministic_in_seed() {
+    fn replay_cell_is_deterministic_in_seed() {
         let coord = CellCoord {
             topo: TopoKind::I2(I2Variant::Default1g10g),
             sched: SchedKind::Random,
             util: 0.5,
             chaos: ChaosSpec::OFF,
         };
-        let a = run_cell(&coord, &tiny(), 7);
-        let b = run_cell(&coord, &tiny(), 7);
+        let cell = |seed| CellPipeline::Replay.cell(&coord, &tiny(), seed, WorkloadKind::Web);
+        let (a, b) = (cell(7), cell(7));
         assert!(a.total > 0);
         assert_eq!(a.total, b.total);
         assert_eq!(a.frac_overdue, b.frac_overdue);
         assert_eq!(a.mean_slack_us, b.mean_slack_us);
         assert!(a.chaos.is_none());
         // A different seed draws a different workload.
-        let c = run_cell(&coord, &tiny(), 8);
+        let c = cell(8);
         assert_ne!(a.total, c.total);
     }
 
@@ -399,8 +369,8 @@ mod tests {
             chaos: ChaosSpec::drop(50_000), // 5% — heavy, so losses show
             ..clean
         };
-        let a = run_cell_workload(&clean, &tiny(), 7, WorkloadKind::Web);
-        let b = run_cell_workload(&lossy, &tiny(), 7, WorkloadKind::Web);
+        let cell = |coord| CellPipeline::Replay.cell(coord, &tiny(), 7, WorkloadKind::Web);
+        let (a, b) = (cell(&clean), cell(&lossy));
         // Chaos perturbs only the replay leg: the recorded schedule (and
         // thus the packet population) is identical across drop rates.
         assert_eq!(a.total, b.total);
@@ -410,7 +380,7 @@ mod tests {
         assert!(chaos.frac_lost > 0.0);
         assert!(chaos.fidelity < 1.0);
         // Deterministic for a fixed seed.
-        let b2 = run_cell_workload(&lossy, &tiny(), 7, WorkloadKind::Web);
+        let b2 = cell(&lossy);
         assert_eq!(b.chaos, b2.chaos);
     }
 }

@@ -311,16 +311,6 @@ impl SweepSpec {
         )
     }
 
-    /// Table 1 rows 1-2 only: the utilization sweep under Random.
-    pub fn util_grid() -> SweepSpec {
-        SweepSpec::cartesian(
-            "util",
-            &[TopoKind::I2(I2Variant::Default1g10g)],
-            &[SchedKind::Random],
-            &[0.1, 0.3, 0.5, 0.7, 0.9],
-        )
-    }
-
     /// Table 1 row 5 plus Random: the original-scheduler sweep at 70%.
     pub fn sched_grid() -> SweepSpec {
         SweepSpec::cartesian(

@@ -38,9 +38,11 @@
 //!   (see `docs/SCENARIOS.md` for the catalogue).
 //!
 //! The `sweep` binary at the workspace root (`cargo run --release --bin
-//! sweep`) is the CLI; `ups-bench`'s `table1`, `all_experiments`, and
-//! the four `fig*` binaries are thin clients of [`run_sweep`] /
-//! [`run_fig_with`].
+//! sweep`) is the CLI and the one way to run an experiment: it resolves
+//! `--grid NAME` through `ups-bench`'s catalogue, whose table grids,
+//! figures (Figures 1–4, the congestion-point diagnostic) and ablations
+//! all run on [`run_sweep_with`] / [`run_fig_with`]. Every table cell
+//! runs the one record-and-replay body behind [`CellPipeline`].
 //!
 //! # Artifact schema
 //!
@@ -194,9 +196,7 @@ pub mod telemetry;
 
 pub use artifact::Json;
 pub use cell::{
-    record_and_replay, record_and_replay_deadline_observed, record_and_replay_observed,
-    record_and_replay_workload, run_cell, run_cell_workload, CellMetrics, CellPipeline, ChaosCell,
-    DeadlineCell, DistMetrics, ObservedRun,
+    record_and_replay, CellMetrics, CellPipeline, ChaosCell, DeadlineCell, DistMetrics, ObservedRun,
 };
 pub use diff::{diff_artifacts, DiffOptions, DiffReport};
 pub use engine::{

@@ -113,10 +113,7 @@ pub fn run_telemetry_sweep(
     let expanded = spec.jobs();
     let measured = run_indexed(&expanded, jobs, |_, job| {
         let run = pipeline.observed(&job.coord, sim, job.seed, workload);
-        let mut metrics = CellMetrics::of(&run.report, &run.schedule);
-        metrics.deadline = run.deadline;
-        metrics.chaos = run.chaos;
-        (metrics, run.series)
+        (run.metrics(), run.series)
     });
     ups_obs::set_sample_interval(previous);
 

@@ -7,7 +7,7 @@
 //! ```
 
 use ups::core::objectives::Scheme;
-use ups::core::{run_fairness, run_fct, run_tail_delays};
+use ups::core::{run_fairness, run_fct, run_goodput, run_tail_delays};
 use ups::metrics::Cdf;
 use ups::net::{FlowId, TraceLevel};
 use ups::sim::{Bandwidth, Dur, Time};
@@ -126,5 +126,41 @@ fn main() {
             .map(|p| (p.jain * 1000.0).round() / 1000.0)
             .collect();
         println!("{:<12} Jain index per ms: {series:?}", scheme.label());
+    }
+
+    // --- Weighted fairness (§3.3 extension) ---------------------------
+    // "Different values of rest for different flows, in proportion to
+    // the desired weights": four long-lived flows with weights 4:2:1:1
+    // should split the bottleneck's goodput in that proportion.
+    let flows: Vec<FlowDesc> = flows[..4]
+        .iter()
+        .enumerate()
+        .map(|(i, f)| FlowDesc {
+            start: Time::from_micros(13 * i as u64),
+            ..f.clone()
+        })
+        .collect();
+    let wanted = [4.0, 2.0, 1.0, 1.0];
+    let weighted = Scheme::LstfVcWeighted {
+        base: Bandwidth::mbps(50),
+        weights: flows.iter().map(|f| f.id).zip(wanted).collect(),
+    };
+    println!("\n== weighted fairness (4 long-lived TCP flows, weights {wanted:?}) ==");
+    for scheme in [
+        Scheme::LstfVc {
+            rest: Bandwidth::mbps(50),
+        },
+        weighted,
+    ] {
+        let bytes = run_goodput(topo(), &flows, &scheme, Time::from_millis(30), None);
+        let total = bytes.iter().sum::<u64>() as f64;
+        let shares: Vec<f64> = bytes
+            .iter()
+            .map(|&b| (1000.0 * b as f64 / total).round() / 10.0)
+            .collect();
+        println!(
+            "{:<12} goodput share per flow: {shares:?} %",
+            scheme.label()
+        );
     }
 }

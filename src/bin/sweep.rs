@@ -1,9 +1,12 @@
-//! `sweep` — the declarative, parallel experiment-sweep CLI.
+//! `sweep` — the declarative, parallel experiment-sweep CLI and the one
+//! way to run an experiment.
 //!
-//! Expands a named grid (default: the paper's Table 1) or a registered
-//! scenario into cells × seed replicates, executes the jobs on a
-//! scoped-thread worker pool, prints per-cell mean ± stddev, and writes
-//! JSON + CSV artifacts under `target/sweep/` (override with `--out
+//! `--grid NAME` names a table grid (default: the paper's Table 1), a
+//! figure (`fig1`–`fig4`, `congestion-points`), an ablation, or a
+//! registered scenario (`ups_bench::grids::find` is the lookup). The
+//! grid expands into cells × seed replicates, the jobs run on a
+//! scoped-thread worker pool, per-cell mean ± stddev is printed, and
+//! JSON + CSV artifacts land under `target/sweep/` (override with `--out
 //! DIR`). The artifacts are byte-identical for every `--jobs` value.
 //!
 //! The `scenarios` subcommand lists, describes, and runs the scenario
@@ -20,6 +23,8 @@
 //! ```sh
 //! cargo run --release --bin sweep -- --jobs 4 --replicates 3
 //! cargo run --release --bin sweep -- --grid dc-k8-incast --jobs 4
+//! cargo run --release --bin sweep -- --grid fig1 --replicates 2
+//! cargo run --release --bin sweep -- --grid ablation-candidates
 //! cargo run --release --bin sweep -- scenarios list
 //! cargo run --release --bin sweep -- scenarios describe rocketfuel-full
 //! cargo run --release --bin sweep -- scenarios run dc-k4-incast-sched
@@ -28,6 +33,8 @@
 //! ```
 
 use std::path::{Path, PathBuf};
+use ups_bench::grids::{self, Ablation, Grid};
+use ups_bench::scale::{take_out_flag, SCALE_FLAGS};
 use ups_bench::Scale;
 use ups_core::WorkloadKind;
 use ups_net::TraceLevel;
@@ -35,7 +42,7 @@ use ups_sim::Dur;
 use ups_sweep::scenario::{self, Scenario};
 use ups_sweep::{
     diff_artifacts, perf, run_sweep_with, run_telemetry_sweep, CellPipeline, ChaosSpec,
-    DiffOptions, PerfEntry, SweepReport, SweepSpec, TelemetryReport,
+    DiffOptions, FigReport, PerfEntry, SweepReport, SweepSpec, TelemetryReport,
 };
 
 /// Write a line to stdout, swallowing write failures: when stdout is
@@ -60,9 +67,6 @@ macro_rules! out_inline {
     }};
 }
 
-const GRIDS: &str = "table1 (default), smoke, util, sched, topo, or any \
-                     registered scenario (see `sweep scenarios list`)";
-
 fn usage_exit(err: &str) -> ! {
     eprintln!(
         "error: {err}\n\
@@ -71,7 +75,7 @@ fn usage_exit(err: &str) -> ! {
          sweep diff OLD.json NEW.json [--rel-tol X] [--abs-tol X]\n       \
          sweep bench [--iters N] [--gate-pct X] [--handicap F] [--trace-out FILE]\n             \
          [--history FILE] [--out DIR] [scale flags]\n  \
-         --grid NAME  grid to run: {GRIDS}\n  \
+         --grid NAME  grid to run (default table1): {}\n  \
          --out DIR    artifact directory (default: target/sweep)\n  \
          --telemetry  sample queue/utilization time series on the event wheel and\n               \
          additionally write <grid>_telemetry.json/.csv\n  \
@@ -89,8 +93,12 @@ fn usage_exit(err: &str) -> ! {
          --trace-out FILE  bench: export the warmup run's packet lifecycle\n               \
          ring as JSON Lines\n  \
          --history FILE    bench: perf history path (default: <out>/perf-history.jsonl)\n\
-         {}",
-        ups_bench::scale::SCALE_FLAGS
+         {SCALE_FLAGS}",
+        grids::names()
+            .chunks(4)
+            .map(|names| names.join(", "))
+            .collect::<Vec<_>>()
+            .join(",\n               ")
     );
     std::process::exit(2);
 }
@@ -276,10 +284,7 @@ fn run_diff(args: &[String]) -> ! {
 #[allow(clippy::disallowed_methods)]
 fn run_bench(args: &[String]) -> ! {
     let mut rest: Vec<String> = args.to_vec();
-    let out = match ups_bench::scale::take_out_flag(&mut rest) {
-        Ok(out) => out,
-        Err(e) => usage_exit(&e),
-    };
+    let out = take_out_flag(&mut rest).unwrap_or_else(|e| usage_exit(&e));
     let mut iters: u64 = 5;
     let mut gate_pct: Option<f64> = None;
     let mut handicap: f64 = 1.0;
@@ -476,33 +481,109 @@ fn run_scenarios(args: &[String]) -> ! {
             let Some(name) = args.get(1) else {
                 usage_exit("scenarios run takes a scenario name");
             };
-            let Some(s) = scenario::find(name) else {
+            if scenario::find(name).is_none() {
                 usage_exit(&format!(
                     "unknown scenario `{name}` (see `sweep scenarios list`)"
                 ));
-            };
-            let mut rest: Vec<String> = args[2..].to_vec();
-            let out = match ups_bench::scale::take_out_flag(&mut rest) {
-                Ok(out) => out,
-                Err(e) => usage_exit(&e),
-            };
-            let telemetry = match take_telemetry_flags(&mut rest) {
-                Ok(t) => t,
-                Err(e) => usage_exit(&e),
-            };
-            let chaos = match take_chaos_flags(&mut rest) {
-                Ok(c) => c,
-                Err(e) => usage_exit(&e),
-            };
-            let scale = match Scale::parse(&rest) {
-                Ok(sc) => sc,
-                Err(e) => usage_exit(&e),
-            };
-            run_scenario_grid(s, &scale, &out, telemetry, chaos);
+            }
+            let mut run = vec!["--grid".to_string(), name.clone()];
+            run.extend_from_slice(&args[2..]);
+            run_grid(parse_run(run));
         }
         Some(other) => usage_exit(&format!(
             "unknown scenarios action `{other}` (list, describe, run)"
         )),
+    }
+}
+
+/// A parsed `--grid NAME …` or `scenarios run NAME …` invocation.
+struct RunArgs {
+    grid: String,
+    out: PathBuf,
+    telemetry: Option<Dur>,
+    chaos: Option<ChaosSpec>,
+    scale: Scale,
+}
+
+/// The one parser behind both run paths: `--grid NAME`, `--out DIR`, the
+/// telemetry and chaos flags, then the scale flags. A repeated `--grid`,
+/// a flag where a value belongs, or an unknown flag exits 2.
+fn parse_run(mut args: Vec<String>) -> RunArgs {
+    let mut grid = "table1".to_string();
+    if let Some(i) = args.iter().position(|a| a == "--grid") {
+        args.remove(i);
+        match args.get(i) {
+            Some(v) if !v.starts_with('-') => grid = args.remove(i),
+            Some(v) => usage_exit(&format!("--grid requires a value, got flag `{v}`")),
+            None => usage_exit("--grid requires a value"),
+        }
+    }
+    if args.iter().any(|a| a == "--grid") {
+        usage_exit("--grid given more than once");
+    }
+    let out = take_out_flag(&mut args).unwrap_or_else(|e| usage_exit(&e));
+    let telemetry = take_telemetry_flags(&mut args).unwrap_or_else(|e| usage_exit(&e));
+    let chaos = take_chaos_flags(&mut args).unwrap_or_else(|e| usage_exit(&e));
+    let scale = Scale::parse(&args).unwrap_or_else(|e| usage_exit(&e));
+    RunArgs {
+        grid,
+        out,
+        telemetry,
+        chaos,
+        scale,
+    }
+}
+
+/// Exit 2 when `run` carries a flag a grid of this kind cannot honour.
+fn refuse_unsupported(run: &RunArgs, kind: &str, chaos_ok: bool) {
+    if run.telemetry.is_some() {
+        usage_exit(&format!(
+            "--telemetry does not apply to {kind} `{}`",
+            run.grid
+        ));
+    }
+    if run.chaos.is_some() && !chaos_ok {
+        usage_exit(&format!(
+            "--chaos-* flags do not apply to {kind} `{}`",
+            run.grid
+        ));
+    }
+}
+
+/// Run the grid `run` names, print it, write its artifacts and exit.
+fn run_grid(run: RunArgs) -> ! {
+    let Some(grid) = grids::find(&run.grid) else {
+        usage_exit(&format!("unknown grid `{}`", run.grid));
+    };
+    match grid {
+        Grid::Table(spec) => run_table(spec(), WorkloadKind::Web, CellPipeline::Replay, None, &run),
+        Grid::Scenario(s) => {
+            out!("scenario {}: {} [{}]", s.name, s.title, s.workload.label());
+            run_table(s.spec(), s.workload, s.pipeline, Some(s), &run)
+        }
+        Grid::Figure(runner) => {
+            refuse_unsupported(&run, "figure", false);
+            let report = runner(&run.scale);
+            print_fig_report(&report);
+            write_and_exit(&run.out, || {
+                let (json, csv) = report.write(&run.out)?;
+                out!("\nwrote {} and {}", json.display(), csv.display());
+                Ok(())
+            })
+        }
+        Grid::Ablation(a) => run_ablation(a, &run),
+    }
+}
+
+/// Write a run's artifacts and exit: 0 when every write succeeded, 1 on
+/// an IO error.
+fn write_and_exit(out: &Path, write: impl FnOnce() -> std::io::Result<()>) -> ! {
+    match write() {
+        Ok(()) => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing artifacts to {}: {e}", out.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -518,25 +599,52 @@ fn announce(spec: &SweepSpec, scale: &Scale) {
     );
 }
 
-/// Print the table, write every artifact the run produced — table
+/// Run a table grid (named or scenario) with its workload family and
+/// cell pipeline, with or without event-wheel telemetry sampling, then
+/// print the table and write every artifact the run produced — table
 /// JSON/CSV, optional telemetry series, and (for deadline-replay
-/// scenarios) the miss-rate-vs-utilization figure — then exit.
-fn finish(
-    report: &SweepReport,
-    telem: Option<&TelemetryReport>,
+/// scenarios) the miss-rate-vs-utilization figure.
+fn run_table(
+    spec: SweepSpec,
+    workload: WorkloadKind,
+    pipeline: CellPipeline,
     s: Option<&Scenario>,
-    out: &Path,
+    run: &RunArgs,
 ) -> ! {
-    print_report(report);
-    let written = (|| -> std::io::Result<()> {
-        let (json, csv) = report.write(out)?;
+    let scale = &run.scale;
+    let spec = apply_chaos(
+        spec.with_seed(scale.seed).with_replicates(scale.replicates),
+        run.chaos,
+    );
+    announce(&spec, scale);
+    let sim = scale.sim();
+    let (report, telem): (SweepReport, Option<TelemetryReport>) = match run.telemetry {
+        None => {
+            let report = run_sweep_with(&spec, sim.label, scale.jobs, |job| {
+                pipeline.cell(&job.coord, &sim, job.seed, workload)
+            });
+            (report, None)
+        }
+        Some(interval) => {
+            out!(
+                "telemetry: sampling every {} us on the event wheel",
+                interval.as_ps() / 1_000_000
+            );
+            let (report, telem) =
+                run_telemetry_sweep(&spec, &sim, scale.jobs, workload, pipeline, interval);
+            (report, Some(telem))
+        }
+    };
+    print_report(&report);
+    write_and_exit(&run.out, || {
+        let (json, csv) = report.write(&run.out)?;
         out!("\nwrote {} and {}", json.display(), csv.display());
-        if let Some(t) = telem {
-            let (tj, tc) = t.write(out)?;
+        if let Some(t) = &telem {
+            let (tj, tc) = t.write(&run.out)?;
             out!("wrote {} and {}", tj.display(), tc.display());
         }
-        if let Some(fig) = s.and_then(|s| s.miss_curves(report)) {
-            let (fj, fc) = fig.write(out)?;
+        if let Some(fig) = s.and_then(|s| s.miss_curves(&report)) {
+            let (fj, fc) = fig.write(&run.out)?;
             out!(
                 "wrote {} and {} (miss-rate-vs-utilization curves)",
                 fj.display(),
@@ -544,67 +652,35 @@ fn finish(
             );
         }
         Ok(())
-    })();
-    match written {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: writing artifacts to {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    })
 }
 
-/// Run any grid (named or scenario) with its workload family and cell
-/// pipeline, with or without event-wheel telemetry sampling, and write
-/// the artifacts.
-fn execute_grid(
-    spec: &SweepSpec,
-    workload: WorkloadKind,
-    pipeline: CellPipeline,
-    scale: &Scale,
-    out: &Path,
-    telemetry: Option<Dur>,
-    s: Option<&Scenario>,
-) -> ! {
-    let sim = scale.sim();
-    let Some(interval) = telemetry else {
-        let report = run_sweep_with(spec, sim.label, scale.jobs, |job| {
-            pipeline.cell(&job.coord, &sim, job.seed, workload)
-        });
-        finish(&report, None, s, out);
-    };
-    out!(
-        "telemetry: sampling every {} us on the event wheel",
-        interval.as_ps() / 1_000_000
-    );
-    let (report, telem) = run_telemetry_sweep(spec, &sim, scale.jobs, workload, pipeline, interval);
-    finish(&report, Some(&telem), s, out);
-}
-
-fn run_scenario_grid(
-    s: &Scenario,
-    scale: &Scale,
-    out: &Path,
-    telemetry: Option<Dur>,
-    chaos: Option<ChaosSpec>,
-) -> ! {
+/// Run an ablation's cells once per replay mode and write one table
+/// artifact per mode.
+fn run_ablation(a: &Ablation, run: &RunArgs) -> ! {
+    refuse_unsupported(run, "ablation", true);
+    let scale = &run.scale;
     let spec = apply_chaos(
-        s.spec()
+        a.spec()
             .with_seed(scale.seed)
             .with_replicates(scale.replicates),
-        chaos,
+        run.chaos,
     );
-    out!("scenario {}: {} [{}]", s.name, s.title, s.workload.label());
+    out!("ablation {}: {}", a.name, a.title);
     announce(&spec, scale);
-    execute_grid(
-        &spec,
-        s.workload,
-        s.pipeline,
-        scale,
-        out,
-        telemetry,
-        Some(s),
-    );
+    let reports = a.run_spec(&spec, &scale.sim(), scale.jobs);
+    for (report, (_, mode)) in reports.iter().zip(a.modes) {
+        out!("\n{}: replayed under {}", report.name, mode.label());
+        print_report(report);
+    }
+    write_and_exit(&run.out, || {
+        out!();
+        for report in &reports {
+            let (json, csv) = report.write(&run.out)?;
+            out!("wrote {} and {}", json.display(), csv.display());
+        }
+        Ok(())
+    })
 }
 
 fn main() {
@@ -613,63 +689,8 @@ fn main() {
         Some("diff") => run_diff(&args[1..]),
         Some("scenarios") => run_scenarios(&args[1..]),
         Some("bench") => run_bench(&args[1..]),
-        _ => {}
+        _ => run_grid(parse_run(args)),
     }
-    // Split off the sweep-specific flags; everything else is scale.
-    let mut grid = "table1".to_string();
-    let mut out = PathBuf::from("target/sweep");
-    let mut scale_args: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => match it.next() {
-                Some(v) => grid = v,
-                None => usage_exit("--grid requires a value"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = PathBuf::from(v),
-                None => usage_exit("--out requires a value"),
-            },
-            _ => scale_args.push(a),
-        }
-    }
-    let telemetry = match take_telemetry_flags(&mut scale_args) {
-        Ok(t) => t,
-        Err(e) => usage_exit(&e),
-    };
-    let chaos = match take_chaos_flags(&mut scale_args) {
-        Ok(c) => c,
-        Err(e) => usage_exit(&e),
-    };
-    let scale = match Scale::parse(&scale_args) {
-        Ok(s) => s,
-        Err(e) => usage_exit(&e),
-    };
-    let spec = match grid.as_str() {
-        "table1" => SweepSpec::table1(),
-        "smoke" => SweepSpec::smoke(),
-        "util" => SweepSpec::util_grid(),
-        "sched" => SweepSpec::sched_grid(),
-        "topo" => SweepSpec::topo_grid(),
-        other => match scenario::find(other) {
-            Some(s) => run_scenario_grid(s, &scale, &out, telemetry, chaos),
-            None => usage_exit(&format!("unknown grid `{other}` (choose from: {GRIDS})")),
-        },
-    }
-    .with_seed(scale.seed)
-    .with_replicates(scale.replicates);
-    let spec = apply_chaos(spec, chaos);
-
-    announce(&spec, &scale);
-    execute_grid(
-        &spec,
-        WorkloadKind::Web,
-        CellPipeline::Replay,
-        &scale,
-        &out,
-        telemetry,
-        None,
-    );
 }
 
 fn print_report(report: &SweepReport) {
@@ -696,5 +717,50 @@ fn print_report(report: &SweepReport) {
             r.frac_gt_t.stddev,
             r.mean_slack_us.mean
         );
+    }
+}
+
+/// Print a figure report: header, per-series scalar summaries, then the
+/// mean ± stddev curve table (one column per series, one row per x-axis
+/// point).
+fn print_fig_report(report: &FigReport) {
+    out!("\n=== {} ===", report.title);
+    out!(
+        "scale {}, {} replicate(s), base seed {} (output is identical for every --jobs value)",
+        report.scale,
+        report.replicates,
+        report.base_seed
+    );
+    if !report.scalar_names.is_empty() {
+        out_inline!("\n{:<16}", "series");
+        for name in &report.scalar_names {
+            out_inline!(" {name:>22}");
+        }
+        out!();
+        for r in &report.results {
+            out_inline!("{:<16}", r.series);
+            for s in &r.scalars {
+                out_inline!(" {:>13.4} ±{:>7.4}", s.mean, s.stddev);
+            }
+            out!();
+        }
+    }
+    out_inline!("\n{:<12}", report.axis.name);
+    for r in &report.results {
+        out_inline!(" {:>20}", r.series);
+    }
+    out!();
+    for (i, &x) in report.axis.xs.iter().enumerate() {
+        let row_label = report
+            .axis
+            .labels
+            .as_ref()
+            .map_or_else(|| format!("{x}"), |labels| labels[i].clone());
+        out_inline!("{row_label:<12}");
+        for r in &report.results {
+            let s = &r.points[i];
+            out_inline!(" {:>11.4} ±{:>7.4}", s.mean, s.stddev);
+        }
+        out!();
     }
 }

@@ -12,7 +12,7 @@ use ups::obs::{ObsLevel, Registry};
 use ups::sched::SchedKind;
 use ups::sim::{Bandwidth, Dur, Time, PS_PER_US};
 use ups::sweep::{
-    run_cell_workload, run_sweep_with, CellCoord, ChaosSpec, SimScale, SweepSpec, TopoKind,
+    run_sweep_with, CellCoord, CellPipeline, ChaosSpec, SimScale, SweepSpec, TopoKind,
 };
 use ups::topo::internet2::I2Variant;
 use ups::topo::simple::star;
@@ -76,7 +76,7 @@ proptest! {
         let spec = grid_for(chaos);
         let run = |jobs| {
             run_sweep_with(&spec, sim.label, jobs, |job| {
-                run_cell_workload(&job.coord, &sim, job.seed, WorkloadKind::Web)
+                CellPipeline::Replay.cell(&job.coord, &sim, job.seed, WorkloadKind::Web)
             })
         };
         let serial = run(1);
@@ -98,11 +98,11 @@ proptest! {
         (seed_a, seed_b) in (0u64..100, 100u64..200),
     ) {
         let sim = tiny();
-        let clean = run_cell_workload(&i2_cell(ChaosSpec::OFF), &sim, workload_seed, WorkloadKind::Web);
+        let cell = |chaos| CellPipeline::Replay.cell(&i2_cell(chaos), &sim, workload_seed, WorkloadKind::Web);
+        let clean = cell(ChaosSpec::OFF);
         let spec_a = ChaosSpec { seed: seed_a, ..ChaosSpec::drop(drop_ppm) };
         let spec_b = ChaosSpec { seed: seed_b, ..ChaosSpec::drop(drop_ppm) };
-        let a = run_cell_workload(&i2_cell(spec_a), &sim, workload_seed, WorkloadKind::Web);
-        let b = run_cell_workload(&i2_cell(spec_b), &sim, workload_seed, WorkloadKind::Web);
+        let (a, b) = (cell(spec_a), cell(spec_b));
 
         // Record-side metrics are untouched by any chaos configuration.
         prop_assert!(clean.chaos.is_none());
@@ -115,7 +115,7 @@ proptest! {
         // The perturbation is live and deterministic in its own seed.
         let ca = a.chaos.expect("perturbed cell must report chaos outcomes");
         prop_assert!(ca.frac_lost > 0.0, "{} ppm drew no losses", drop_ppm);
-        let a2 = run_cell_workload(&i2_cell(spec_a), &sim, workload_seed, WorkloadKind::Web);
+        let a2 = cell(spec_a);
         prop_assert_eq!(a.chaos, a2.chaos, "chaos outcomes not reproducible");
     }
 }

@@ -2,7 +2,8 @@
 //! byte-identical regardless of the worker count, because every result
 //! is keyed to its grid coordinates rather than completion order.
 
-use ups_bench::{fig1_report, Scale};
+use ups_bench::grids::{self, Grid};
+use ups_bench::{congestion_points_report, fig1_report, Scale};
 use ups_sim::Dur;
 use ups_sweep::{diff_artifacts, run_sweep, DiffOptions, SweepSpec};
 
@@ -61,6 +62,41 @@ fn fig_grid_artifacts_are_identical_across_worker_counts() {
         "vacuous diff: {} values",
         diff.compared
     );
+}
+
+/// The ablation and congestion-point grids keep the guarantee: an
+/// ablation's per-mode table artifacts and the congestion-point figure
+/// artifact serialize byte-identically for `--jobs 1` and `--jobs 4`.
+#[test]
+fn ablation_and_congestion_point_artifacts_are_identical_across_worker_counts() {
+    let mut scale = Scale::quick();
+    scale.edges_per_core = 2; // tiny topology keeps this test fast
+    scale.horizon = Dur::from_millis(2);
+    scale.label = "tiny";
+    scale.replicates = 2;
+    let Some(Grid::Ablation(a)) = grids::find("ablation-preempt") else {
+        panic!("ablation-preempt is an ablation");
+    };
+    let spec = a.spec().with_replicates(2);
+    let serial = a.run_spec(&spec, &scale.sim(), 1);
+    let parallel = a.run_spec(&spec, &scale.sim(), 4);
+    assert_eq!(serial.len(), a.modes.len());
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_eq!(
+            s.to_json(),
+            p.to_json(),
+            "{}: JSON artifacts differ",
+            s.name
+        );
+        assert_eq!(s.to_csv(), p.to_csv(), "{}: CSV artifacts differ", s.name);
+    }
+
+    scale.jobs = 1;
+    let serial = congestion_points_report(&scale);
+    scale.jobs = 4;
+    let parallel = congestion_points_report(&scale);
+    assert_eq!(serial.to_json(), parallel.to_json(), "figure JSON differs");
+    assert_eq!(serial.to_csv(), parallel.to_csv(), "figure CSV differs");
 }
 
 /// Replicates draw distinct workloads (different seeds) yet aggregate

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
-use ups_sweep::{run_sweep_with, CellMetrics, Job, SweepSpec};
+use ups_sweep::{run_sweep_with, scenario, CellMetrics, Job, SweepSpec};
 
 /// A synthetic 2-cell table artifact; `bump` perturbs one metric of the
 /// second cell (util=0.7) so regressions land on a known coordinate.
@@ -91,7 +91,7 @@ fn regression_exits_nonzero_and_names_the_coordinate() {
 fn added_and_removed_cells_exit_nonzero() {
     let smoke = artifact(0.0);
     let util = run_sweep_with(
-        &SweepSpec::util_grid().with_replicates(2),
+        &scenario::find("i2-web").unwrap().spec().with_replicates(2),
         "test",
         1,
         |_: &Job| CellMetrics {

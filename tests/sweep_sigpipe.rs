@@ -10,15 +10,19 @@
 
 use std::process::{Command, Stdio};
 
-#[test]
-fn sweep_writes_artifacts_even_when_stdout_closes_early() {
-    let out = std::env::temp_dir().join(format!("ups-sweep-sigpipe-{}", std::process::id()));
+/// Run `sweep --grid <grid>` at a tiny scale with the read end of its
+/// stdout closed before it prints anything (a `| head -1` that exited
+/// instantly, so every stdout write in the child fails with EPIPE);
+/// require a zero exit and complete `<stem>.json`/`.csv` artifacts of
+/// the given `kind`.
+fn run_with_closed_stdout(grid: &str, stem: &str, kind: &str) {
+    let out = std::env::temp_dir().join(format!("ups-sweep-sigpipe-{grid}-{}", std::process::id()));
     std::fs::remove_dir_all(&out).ok();
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args([
             "--grid",
-            "smoke",
+            grid,
             "--jobs",
             "2",
             "--edges",
@@ -32,23 +36,32 @@ fn sweep_writes_artifacts_even_when_stdout_closes_early() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn sweep");
-    // Close the pipe's read end before the child prints anything — a
-    // `| head -1` that exited instantly. Every later stdout write in
-    // the child fails with EPIPE.
     drop(child.stdout.take());
     let status = child.wait().expect("wait for sweep");
     assert!(
         status.success(),
-        "sweep died on a closed stdout pipe: {status:?}"
+        "sweep --grid {grid} died on a closed stdout pipe: {status:?}"
     );
 
-    let json = std::fs::read_to_string(out.join("smoke.json"))
-        .expect("smoke.json missing: artifacts were not written");
+    let json = std::fs::read_to_string(out.join(format!("{stem}.json")))
+        .unwrap_or_else(|_| panic!("{stem}.json missing: artifacts were not written"));
     assert!(
-        json.contains("\"kind\": \"table\""),
-        "smoke.json truncated or malformed"
+        json.contains(&format!("\"kind\": \"{kind}\"")),
+        "{stem}.json truncated or malformed"
     );
-    let csv = std::fs::read_to_string(out.join("smoke.csv")).expect("smoke.csv missing");
-    assert!(csv.lines().count() > 1, "smoke.csv has no data rows");
+    let csv = std::fs::read_to_string(out.join(format!("{stem}.csv")))
+        .unwrap_or_else(|_| panic!("{stem}.csv missing"));
+    assert!(csv.lines().count() > 1, "{stem}.csv has no data rows");
     std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn sweep_writes_artifacts_even_when_stdout_closes_early() {
+    run_with_closed_stdout("smoke", "smoke", "table");
+}
+
+/// Figures print through the same EPIPE-safe macros as tables.
+#[test]
+fn figure_grid_writes_artifacts_even_when_stdout_closes_early() {
+    run_with_closed_stdout("congestion-points", "congestion-points", "figure");
 }
