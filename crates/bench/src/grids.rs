@@ -111,10 +111,11 @@ impl Ablation {
         )
     }
 
-    /// Run `spec` (from [`Ablation::spec`], with the caller's seed,
-    /// replicates and chaos) once per mode. Report `i` is named
+    /// Run `spec` (from [`Ablation::spec`], with the caller's seed and
+    /// replicates) once per mode. Report `i` is named
     /// `<spec name>_<mode i suffix>`, and each is byte-identical for
-    /// every `jobs` value.
+    /// every `jobs` value. Each mode records the originals again; see
+    /// ROADMAP's "Record once, replay many".
     pub fn run_spec(&self, spec: &SweepSpec, sim: &SimScale, jobs: usize) -> Vec<SweepReport> {
         self.modes
             .iter()

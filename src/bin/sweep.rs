@@ -535,14 +535,14 @@ fn parse_run(mut args: Vec<String>) -> RunArgs {
 }
 
 /// Exit 2 when `run` carries a flag a grid of this kind cannot honour.
-fn refuse_unsupported(run: &RunArgs, kind: &str, chaos_ok: bool) {
+fn refuse_unsupported(run: &RunArgs, kind: &str) {
     if run.telemetry.is_some() {
         usage_exit(&format!(
             "--telemetry does not apply to {kind} `{}`",
             run.grid
         ));
     }
-    if run.chaos.is_some() && !chaos_ok {
+    if run.chaos.is_some() {
         usage_exit(&format!(
             "--chaos-* flags do not apply to {kind} `{}`",
             run.grid
@@ -562,7 +562,7 @@ fn run_grid(run: RunArgs) -> ! {
             run_table(s.spec(), s.workload, s.pipeline, Some(s), &run)
         }
         Grid::Figure(runner) => {
-            refuse_unsupported(&run, "figure", false);
+            refuse_unsupported(&run, "figure");
             let report = runner(&run.scale);
             print_fig_report(&report);
             write_and_exit(&run.out, || {
@@ -658,14 +658,12 @@ fn run_table(
 /// Run an ablation's cells once per replay mode and write one table
 /// artifact per mode.
 fn run_ablation(a: &Ablation, run: &RunArgs) -> ! {
-    refuse_unsupported(run, "ablation", true);
+    refuse_unsupported(run, "ablation");
     let scale = &run.scale;
-    let spec = apply_chaos(
-        a.spec()
-            .with_seed(scale.seed)
-            .with_replicates(scale.replicates),
-        run.chaos,
-    );
+    let spec = a
+        .spec()
+        .with_seed(scale.seed)
+        .with_replicates(scale.replicates);
     out!("ablation {}: {}", a.name, a.title);
     announce(&spec, scale);
     let reports = a.run_spec(&spec, &scale.sim(), scale.jobs);

@@ -6,7 +6,8 @@
 use ups_bench::grids::{self, Ablation, Grid};
 use ups_bench::Scale;
 use ups_sim::Dur;
-use ups_sweep::{run_sweep, scenario, FigReport, SweepReport};
+use ups_sweep::{run_sweep, scenario, FigReport, SweepReport, TopoKind};
+use ups_topo::internet2::I2Variant;
 
 fn tiny() -> Scale {
     Scale {
@@ -56,6 +57,10 @@ fn table1_produces_all_fourteen_rows() {
         assert!(r.total.mean > 0.0, "{topo}: empty run");
         assert!(r.frac_overdue.mean <= 1.0 && r.frac_gt_t.mean <= r.frac_overdue.mean);
         assert!(r.t_us.mean > 0.0);
+        if r.coord.topo == TopoKind::I2(I2Variant::Default1g10g) {
+            // T is one 1500 B transmission at the 1 Gb/s edge.
+            assert_eq!(r.t_us.mean, 12.0, "{topo}: threshold T");
+        }
     }
     // The table covers all three topology families.
     let topos: Vec<String> = rows.iter().map(|r| r.coord.topo.label()).collect();

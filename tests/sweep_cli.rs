@@ -53,6 +53,7 @@ fn flags_a_grid_cannot_honour_are_refused() {
         &["--grid", "fig1", "--telemetry"][..],
         &["--grid", "congestion-points", "--chaos-drop-ppm", "1000"][..],
         &["--grid", "ablation-lstf-key", "--telemetry"][..],
+        &["--grid", "ablation-candidates", "--chaos-drop-ppm", "1000"][..],
         &["--grid", "smoke", "--grid", "topo"][..],
         &["--grid", "no-such-grid"][..],
     ] {
